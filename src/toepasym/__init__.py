@@ -30,11 +30,11 @@ from .functions import (AnalyticFunction, SQUARE, exponential,
                         parse_function_spec, polynomial, principal_log,
                         rational)
 from .symbol import (LaurentMatrixSeries, SymbolGrid, add_constant,
-                     coefficients_from_samples, constant_symbol, evaluate,
-                     identity_symbol, krein_norm, load_symbol, multiply,
-                     pointwise_inverse, reverse, save_symbol, scalar_symbol,
-                     symbol_from_json, symbol_to_json, winding_number,
-                     zygmund_symbol)
+                     certified_inverse, coefficients_from_samples,
+                     constant_symbol, evaluate, identity_symbol, krein_norm,
+                     load_symbol, multiply, reverse, save_symbol,
+                     scalar_symbol, symbol_from_json, symbol_to_json,
+                     winding_number, zygmund_symbol)
 from .toeplitz import (BlockMatrix, CorrectionTerm, TruncationNorms,
                        correction_term, hankel_section, log_det_direct,
                        log_det_scan, toeplitz_section, trace_f_direct,

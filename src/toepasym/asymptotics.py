@@ -9,7 +9,7 @@ from the factorization mismatch symbols b and c, and the constant term is
 pinned by matching the order-1 case: log E_tilde = log E - lim of the
 correction sum.  For finitely supported b and c the limit is a finite sum
 (every correction matrix vanishes once the index passes the coefficient
-support), so the auto-doubling of the evaluation cap terminates exactly.
+support), so it is the sum of the traces up to that support.
 """
 from __future__ import annotations
 
@@ -20,21 +20,21 @@ import numpy as np
 from .errors import NoConvergence, NonZeroWinding
 from .factor import canonical_wiener_hopf, correction_symbols
 from .fitting import fit_decay
-from .symbol import _branch_log, certified_inverse, reverse
+from .symbol import _branch_log, _refine, certified_inverse, reverse
 from .toeplitz import (correction_term, hankel_section, log_det_direct,
                        log_det_scan)
 
 
-def log_geometric_mean(a, tol=1e-13, max_grid=1 << 17):
+def log_geometric_mean(a):
     """Circle average of the branch-continuous log det of the symbol.
 
-    The grid is doubled until the quadrature stabilizes (trapezoid rule on
-    a uniform periodic grid, so convergence is spectral for trigonometric
-    polynomials).  Raises NonZeroWinding when the determinant winds.
+    The grid is doubled from max(M, 512) until successive averages agree
+    to 1e-13 (trapezoid rule on a uniform periodic grid, so convergence is
+    spectral for trigonometric polynomials); NoConvergence is raised when
+    they do not by 2^17 nodes.  Raises NonZeroWinding when the
+    determinant winds.
     """
-    m = max(a.grid_size, 512)
-    prev = None
-    while True:
+    def step(m, prev):
         samples = a.sample(m).samples
         det = samples[:, 0, 0] if a.block_size == 1 else np.linalg.det(samples)
         logs, total, _ = _branch_log(det)
@@ -42,62 +42,50 @@ def log_geometric_mean(a, tol=1e-13, max_grid=1 << 17):
         if w != 0:
             raise NonZeroWinding(f"winding number {w} != 0")
         val = complex(np.mean(logs))
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        if m >= max_grid:
-            return val
-        prev = val
-        m *= 2
+        return val, np.inf if prev is None else abs(val - prev)
+
+    return _refine(step, max(a.grid_size, 512), 1 << 17, 1e-13)
 
 
-def geometric_mean(a, tol=1e-13):
+def geometric_mean(a):
     """exp of the circle average of log det a (the growth factor G)."""
-    return complex(np.exp(log_geometric_mean(a, tol)))
+    return complex(np.exp(log_geometric_mean(a)))
 
 
-def szego_constant(a, section=None, tol=1e-10, max_section=4096):
+def szego_constant(a):
     """det T(a) T(a^-1) through the Hankel product identity.
 
     T(x) T(y) = T(xy) - H(x) H(y~) with x = a, y = a^-1 turns the operator
-    determinant into det(I - H(a) H((a^-1)~)), evaluated on sections that
-    are doubled until successive values agree to ``tol``.  H(a) has only
-    W nonzero rows and columns when a has positive bandwidth W, which
-    makes I - H(a) H((a^-1)~) block triangular: any section of size
-    m >= W carries the same determinant as the W x W corner, so the
-    corner is what gets evaluated.
+    determinant into det(I - H(a) H((a^-1)~)).  H(a) has only W nonzero
+    rows and columns when a has positive bandwidth W, which makes
+    I - H(a) H((a^-1)~) block triangular: every section of size m >= W
+    carries the determinant of the W x W corner, so that corner is
+    evaluated once.  A bandwidth above 4096 raises NoConvergence before
+    any work is done.
     """
     band = max((k for k in a.coeffs if k > 0), default=0)
     if band == 0:
         return 1.0 + 0.0j  # H(a) vanishes, the operator product is I
-    ainv = certified_inverse(a, tol=1e-14)
-    ainv_rev = reverse(ainv)
-    m = section or max(64, band)
-    prev = None
-    while m <= max_section:
-        m_eff = min(m, band)
-        ha = hankel_section(a, m_eff).data
-        hc = hankel_section(ainv_rev, m_eff).data
-        val = complex(np.linalg.det(np.eye(ha.shape[0]) - ha @ hc))
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        m *= 2
-    raise NoConvergence(
-        f"Hankel-product determinant did not stabilize below section {max_section}")
+    if band > 4096:
+        raise NoConvergence(f"szego_constant: bandwidth {band} exceeds the corner cap 4096")
+    ainv_rev = reverse(certified_inverse(a, tol=1e-14))
+    ha = hankel_section(a, band).data
+    hc = hankel_section(ainv_rev, band).data
+    return complex(np.linalg.det(np.eye(ha.shape[0]) - ha @ hc))
 
 
-def strong_szego_series(a, tol=1e-12, max_grid=1 << 17):
+def strong_szego_series(a):
     """Independent scalar oracle exp(sum_k k (log a)_k (log a)_{-k}).
 
     Classical strong Szego form of the constant term, valid for scalar
     winding-zero symbols.  Kept separate from szego_constant so the two
-    routes cross-check each other.
+    routes cross-check each other.  The grid is doubled from max(M, 512)
+    until successive exponents agree to 1e-12, up to 2^17 nodes.
     """
     if a.block_size != 1:
         raise ValueError("series oracle requires a scalar symbol")
-    m = max(a.grid_size, 512)
-    prev = None
-    while True:
+
+    def step(m, prev):
         vals = a.sample(m).samples[:, 0, 0]
         logs, total, _ = _branch_log(vals)
         if int(round(total / (2 * np.pi))) != 0:
@@ -105,12 +93,9 @@ def strong_szego_series(a, tol=1e-12, max_grid=1 << 17):
         lhat = np.fft.fft(logs) / m
         ks = np.arange(1, m // 2)
         val = complex(np.sum(ks * lhat[ks] * lhat[-ks % m]))
-        if prev is not None and abs(val - prev) < tol:
-            return complex(np.exp(val))
-        if m >= max_grid:
-            return complex(np.exp(val))
-        prev = val
-        m *= 2
+        return val, np.inf if prev is None else abs(val - prev)
+
+    return complex(np.exp(_refine(step, max(a.grid_size, 512), 1 << 17, 1e-12)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +134,6 @@ def _correction_trace_series(b, c, p, upto):
     out = np.zeros(upto, dtype=complex)
     if live <= 1:
         return out
-    n = b.block_size
     if p == 2:
         # t_ell = tr G_{ell,0} = sum_{j>ell} tr(c_{-j} b_j), one reverse cumsum
         prods = np.zeros(live + 1, dtype=complex)
@@ -164,8 +148,6 @@ def _correction_trace_series(b, c, p, upto):
         return out
     for ell in range(1, min(upto, live - 1) + 1):
         m = max(max(s_b, s_c), ell + 9)
-        total = np.zeros((n, n), dtype=complex)
-        gsum = np.zeros((n, n), dtype=complex)
         terms = [correction_term(b, c, ell, k, m=m).value for k in range(p - 1)]
         t = 0.0 + 0.0j
         for j in range(1, p):
@@ -173,18 +155,6 @@ def _correction_trace_series(b, c, p, upto):
             t += np.trace(np.linalg.matrix_power(gsum, j)) / j
         out[ell - 1] = t
     return out
-
-
-def _correction_limit(traces_full):
-    """Limit of the correction sum, with the documented doubling check."""
-    total = complex(np.sum(traces_full))
-    cap = 64
-    while cap < len(traces_full):
-        tail = abs(np.sum(traces_full[cap:]))
-        if tail < 1e-10:
-            break
-        cap *= 2
-    return total
 
 
 def _expansion_pieces(a, p, factors, upto):
@@ -197,7 +167,7 @@ def _expansion_pieces(a, p, factors, upto):
     b, c = correction_symbols(factors)
     support = max((k for k in b.coeffs if k > 0), default=0)
     full = _correction_trace_series(b, c, p, max(upto, support + 1))
-    log_e_tilde = log_e - _correction_limit(full)
+    log_e_tilde = log_e - complex(np.sum(full))
     return log_g, log_e_tilde, full[:upto]
 
 

@@ -85,7 +85,7 @@ class SpectrumTooClose(ToepasymError):
 
 
 class NoConvergence(ToepasymError):
-    """Auto-doubling of an internal truncation hit its cap without stabilizing."""
+    """An adaptive stage hit its cap without meeting its tolerance."""
 
     exit_code = 14
 

@@ -18,8 +18,8 @@ import scipy.linalg
 from .errors import (IllConditionedSection, NonCanonical, NonZeroWinding,
                      SpectrumTooClose)
 from .symbol import (LaurentMatrixSeries, SymbolGrid, _branch_log, _margin,
-                     add_constant, certified_inverse, coefficients_from_samples,
-                     multiply)
+                     _refine, _tail_cutoff, add_constant, certified_inverse,
+                     coefficients_from_samples, multiply)
 from .toeplitz import toeplitz_section
 
 DEFAULT_TOL = 1e-8
@@ -109,12 +109,14 @@ def scalar_wiener_hopf(a, cutoff=None, tol=DEFAULT_TOL):
     The branch-continuous logarithm g = log a is split into g_minus
     (negative offsets) and g_plus (positive offsets plus the constant),
     and the factors are exp(g_minus), exp(g_plus).  Requires winding
-    number zero.
+    number zero.  The log is sampled on a grid doubled from
+    max(M, 1024) until its alias band is negligible; NoConvergence is
+    raised when that does not happen by 2^17 nodes.
     """
     if a.block_size != 1:
         raise ValueError("scalar path requires block size one")
-    m = max(a.grid_size, 1024)
-    while True:
+
+    def step(m, prev):
         vals = a.sample(m).samples[:, 0, 0]
         logs, total, _ = _branch_log(vals)
         w = int(round(total / (2 * np.pi)))
@@ -122,9 +124,10 @@ def scalar_wiener_hopf(a, cutoff=None, tol=DEFAULT_TOL):
             raise NonZeroWinding(f"winding number {w} != 0")
         ghat = np.fft.fft(logs) / m
         alias = float(np.abs(ghat[m // 4: 3 * m // 4]).sum())
-        if alias < 1e-13 * max(1.0, float(np.abs(ghat).max())) or m >= (1 << 17):
-            break
-        m *= 2
+        return ghat, alias / max(1.0, float(np.abs(ghat).max()))
+
+    ghat = _refine(step, max(a.grid_size, 1024), 1 << 17, 1e-13)
+    m = len(ghat)
     idx = np.arange(m)
     plus_mask = (idx <= m // 2)  # bins 0..m/2 hold offsets 0..m/2
     gp = np.fft.ifft(np.where(plus_mask, ghat, 0.0)) * m
@@ -132,8 +135,9 @@ def scalar_wiener_hopf(a, cutoff=None, tol=DEFAULT_TOL):
     up_samples = np.exp(gp)
     um_samples = np.exp(gm)
     if cutoff is None:
-        cutoff = _adaptive_cutoff(np.fft.fft(up_samples) / m,
-                                  np.fft.fft(um_samples) / m, m)
+        mass = np.maximum(np.abs(np.fft.fft(up_samples) / m),
+                          np.abs(np.fft.fft(um_samples) / m))
+        cutoff = min(max(_tail_cutoff(mass, 1e-13)[0], 8), m // 2 - 1)
     grid_p = SymbolGrid(1, up_samples[:, None, None])
     grid_m = SymbolGrid(1, um_samples[:, None, None])
     up_raw, _ = coefficients_from_samples(grid_p, cutoff)
@@ -149,21 +153,6 @@ def scalar_wiener_hopf(a, cutoff=None, tol=DEFAULT_TOL):
     # scalar factors commute, so the left factorization reuses them
     return WHFactors(u_minus=u_minus, u_plus=u_plus,
                      v_plus=u_plus, v_minus=u_minus, residuals=diag)
-
-
-def _adaptive_cutoff(*hats_and_m):
-    *hats, m = hats_and_m
-    mass = np.zeros(m)
-    for hat in hats:
-        mass = np.maximum(mass, np.abs(hat))
-    offsets = np.where(np.arange(m) < m - m // 2, np.arange(m),
-                       np.arange(m) - m)
-    order = np.argsort(np.abs(offsets))
-    sorted_mass = mass[order]
-    tail = np.concatenate((np.cumsum(sorted_mass[::-1])[::-1][1:], [0.0]))
-    good = np.nonzero(tail <= 1e-13)[0]
-    cutoff = int(np.abs(offsets[order][good[0]])) if len(good) else m // 2 - 1
-    return min(max(cutoff, 8), m // 2 - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BlockSizeMismatch, CutoffTooLarge, GridTooCoarse,
-                     SingularSymbol)
+                     NoConvergence, SingularSymbol)
 
 #: blocks whose largest entry is below this times the data scale are dropped
 #: when extracting coefficients from samples (FFT round-off, not signal)
@@ -294,83 +294,74 @@ def _margin(samples):
     return float(sv[j]), j
 
 
-def heuristic_inverse_cutoff(max_offset, margin):
-    """Documented default cutoff K + ceil(40 / |log margin|), clamped."""
-    denom = max(abs(math.log(margin)), 0.05)
-    extra = int(math.ceil(40.0 / denom))
-    return max_offset + min(max(extra, 16), 2048)
+def _refine(step, start, cap, tol):
+    """Adaptive doubling: call step(m, prev) at m = start, 2 start, ... <= cap.
 
-
-def pointwise_inverse(a, cutoff=None, grid_size=None):
-    """Per-sample matrix inverse followed by re-extraction of coefficients.
-
-    Returns (series, residual) with residual = sup_j ||a(t_j) inv(t_j) - I||
-    in the maximum entry norm, measured after truncating the inverse to
-    [-cutoff, cutoff].  The default cutoff follows the heuristic
-    K + ceil(40 / |log margin|) where margin is the smallest singular value
-    of a on the grid.  Raises SingularSymbol when margin <= 1e-10.
+    ``step`` returns (value, gap), where prev is the value of the previous
+    call (None on the first); the first value whose gap is at most ``tol``
+    is returned.  Otherwise NoConvergence names the stage (the function
+    that defines ``step``), the last resolution and the last gap.
     """
-    m0 = grid_size or max(a.grid_size, 256)
-    samples = a.sample(m0).samples
-    margin, worst = _margin(samples)
-    if margin <= 1e-10:
-        theta = 2 * np.pi * worst / m0
-        raise SingularSymbol(
-            f"smallest singular value {margin:.3e} at theta={theta:.6f}")
-    if cutoff is None:
-        cutoff = heuristic_inverse_cutoff(a.max_offset, margin)
-    cutoff = int(cutoff)
-    m = max(m0, default_grid_size(cutoff))
-    if grid_size is not None:
-        m = max(m, int(grid_size))
-    if m != m0:
-        samples = a.sample(m).samples
-    if a.block_size == 1:
-        inv = 1.0 / samples
-    else:
-        inv = np.linalg.inv(samples)
-    series, _ = coefficients_from_samples(SymbolGrid(a.block_size, inv), cutoff)
-    back = series.sample(m).samples
-    eye = np.eye(a.block_size)
-    residual = float(np.max(np.abs(samples @ back - eye)))
-    return series, residual
+    stage = step.__qualname__.split(".")[0]
+    m, prev, gap = start, None, None
+    while m <= cap:
+        value, gap = step(m, prev)
+        if gap <= tol:
+            return value
+        prev = value
+        m *= 2
+    if gap is None:
+        raise NoConvergence(f"{stage}: start resolution {start} exceeds the cap {cap}")
+    raise NoConvergence(
+        f"{stage}: gap {gap:.3e} above tolerance {tol:g} at the cap resolution {m // 2}")
 
 
-def certified_inverse(a, tol=1e-13, max_grid=1 << 17):
+def _tail_cutoff(mass, tol):
+    """Cutoff and alias mass of per-bin coefficient masses on an M-point grid.
+
+    The cutoff is the smallest |offset| beyond which the summed mass is at
+    most ``tol`` (M/2 - 1 when there is none); callers clamp it to their
+    own range.  The alias mass sums the bins at |offset| > M/4.
+    """
+    m = len(mass)
+    # offsets in [-m/2, m/2); alias band is the outer half
+    offsets = np.where(np.arange(m) < m - m // 2, np.arange(m),
+                       np.arange(m) - m)
+    order = np.argsort(np.abs(offsets))
+    sorted_mass = mass[order]
+    dist = np.abs(offsets[order])
+    tail = np.concatenate((np.cumsum(sorted_mass[::-1])[::-1][1:], [0.0]))
+    good = np.nonzero(tail <= tol)[0]
+    cutoff = int(dist[good[0]]) if len(good) else m // 2 - 1
+    return cutoff, float(sorted_mass[dist > m // 4].sum())
+
+
+def certified_inverse(a, tol=1e-13):
     """Pointwise inverse with the cutoff and grid enlarged until the
     discarded coefficient mass is below ``tol``.
 
-    Used internally where downstream determinants need certified tails.
+    The grid doubles from max(M, 512) until the alias band (offsets beyond
+    M/4) carries at most ``tol``; NoConvergence is raised when that does
+    not happen by 2^17 nodes.  The cutoff keeps every offset whose outer
+    tail exceeds ``tol``, and at least the support of a.  Raises
+    SingularSymbol when the smallest singular value on a grid is <= 1e-10.
     """
-    m = max(a.grid_size, 512)
-    while True:
+    def step(m, prev):
         samples = a.sample(m).samples
         margin, worst = _margin(samples)
         if margin <= 1e-10:
             theta = 2 * np.pi * worst / m
             raise SingularSymbol(
                 f"smallest singular value {margin:.3e} at theta={theta:.6f}")
-        if a.block_size == 1:
-            inv = 1.0 / samples
-        else:
-            inv = np.linalg.inv(samples)
+        inv = 1.0 / samples if a.block_size == 1 else np.linalg.inv(samples)
         hat = np.fft.fft(inv, axis=0) / m
-        mass = np.max(np.abs(hat), axis=(1, 2))
-        # offsets in [-m/2, m/2); alias band is the outer half
-        offsets = np.where(np.arange(m) < m - m // 2, np.arange(m),
-                           np.arange(m) - m)
-        order = np.argsort(np.abs(offsets))
-        sorted_mass = mass[order]
-        tail = np.concatenate((np.cumsum(sorted_mass[::-1])[::-1][1:], [0.0]))
-        alias_mass = float(sorted_mass[np.abs(offsets[order]) > m // 4].sum())
-        if alias_mass <= tol or m >= max_grid:
-            good = np.nonzero(tail <= tol)[0]
-            cutoff = int(np.abs(offsets[order][good[0]])) if len(good) else m // 2 - 1
-            cutoff = min(max(cutoff, a.max_offset, 1), m // 2 - 1)
-            series, _ = coefficients_from_samples(SymbolGrid(a.block_size, inv),
-                                                  cutoff)
-            return series
-        m *= 2
+        cutoff, alias_mass = _tail_cutoff(np.max(np.abs(hat), axis=(1, 2)), tol)
+        return (inv, cutoff), alias_mass
+
+    inv, cutoff = _refine(step, max(a.grid_size, 512), 1 << 17, tol)
+    cutoff = min(max(cutoff, a.max_offset, 1), len(inv) // 2 - 1)
+    series, _ = coefficients_from_samples(SymbolGrid(a.block_size, inv), cutoff)
+    return series
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigFailure, NumericallySingularSection, TruncationTooSmall
-from .symbol import LaurentMatrixSeries, reverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,27 +116,16 @@ def _correction_sections(b, c, ell, m):
     The inner index of the Hankel product runs over the full coefficient
     support, so the section is exact for finitely supported symbols.
     """
-    n = b.block_size
     w = m - ell
     ctab = _offset_table(c, -m, -(ell + 1))  # c_{-m}..c_{-(ell+1)}
     row = np.hstack([ctab[m - j] for j in range(ell + 1, m + 1)])
     btab = _offset_table(b, ell + 1, m)
     col = np.vstack([btab[j - (ell + 1)] for j in range(ell + 1, m + 1)])
     depth = max(b.max_offset, c.max_offset, 1)
-    hb = np.zeros((w * n, depth * n), dtype=complex)
-    hc = np.zeros((depth * n, w * n), dtype=complex)
-    for jj in range(w):
-        j = ell + 1 + jj
-        for ii in range(depth):
-            blk = b.coeffs.get(j + ii + 1)
-            if blk is not None:
-                hb[jj * n:(jj + 1) * n, ii * n:(ii + 1) * n] = blk
-    for kk in range(w):
-        k = ell + 1 + kk
-        for ii in range(depth):
-            blk = c.coeffs.get(-(ii + k + 1))
-            if blk is not None:
-                hc[ii * n:(ii + 1) * n, kk * n:(kk + 1) * n] = blk
+    rows = np.arange(w)[:, None] + np.arange(depth)[None, :] + ell + 2
+    hb = _assemble(_offset_table(b, ell + 2, m + depth), rows, ell + 2)
+    hc = _assemble(_offset_table(c, -(m + depth), -(ell + 2)), -rows.T,
+                   -(m + depth))
     inner = hb @ hc
     return row, inner, col
 
@@ -277,7 +265,6 @@ def truncation_norms(b, c, n, m=None):
         m = 4 * n
     if m <= n:
         raise ValueError("m must exceed n")
-    nb = b.block_size
     btab = _offset_table(b, n + 1, m)
     tb = np.vstack([btab[j - (n + 1)] for j in range(n + 1, m + 1)])
     ctab = _offset_table(c, -m, -(n + 1))
@@ -286,20 +273,11 @@ def truncation_norms(b, c, n, m=None):
     def spec(x):
         return float(np.linalg.norm(x, 2)) if x.size else 0.0
 
-    # Hankel of b with rows restricted to j >= n+1
-    rows_b = np.zeros(((m - n) * nb, (m + 1) * nb), dtype=complex)
-    for jj, j in enumerate(range(n + 1, m + 1)):
-        for kk in range(m + 1):
-            blk = b.coeffs.get(j + kk + 1)
-            if blk is not None:
-                rows_b[jj * nb:(jj + 1) * nb, kk * nb:(kk + 1) * nb] = blk
-    # Hankel of reversed c with columns restricted to k >= n+1
-    cols_c = np.zeros(((m + 1) * nb, (m - n) * nb), dtype=complex)
-    rc = reverse(c)
-    for jj in range(m + 1):
-        for kk, k in enumerate(range(n + 1, m + 1)):
-            blk = rc.coeffs.get(jj + k + 1)
-            if blk is not None:
-                cols_c[jj * nb:(jj + 1) * nb, kk * nb:(kk + 1) * nb] = blk
+    # Hankel of b with rows restricted to j >= n+1, block (j, k) = b_{j+k+1},
+    # and Hankel of reversed c with columns restricted to k >= n+1
+    idx = np.arange(n + 1, m + 1)[:, None] + np.arange(m + 1)[None, :] + 1
+    rows_b = _assemble(_offset_table(b, n + 2, 2 * m + 1), idx, n + 2)
+    cols_c = _assemble(_offset_table(c, -(2 * m + 1), -(n + 2)), -idx.T,
+                       -(2 * m + 1))
     return TruncationNorms(tb_tail=spec(tb), hb_tail=spec(rows_b),
                            tc_tail=spec(tc), hc_tail=spec(cols_c))

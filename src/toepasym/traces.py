@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContourTooTight, EigFailure, FitDegenerate, GridTooCoarse,
-                     NoConvergence, SingularSymbol, SpectrumTooClose)
-from .fitting import DecayFit, fit_decay
-from .symbol import LaurentMatrixSeries, default_grid_size, reverse, winding_number
-from .toeplitz import hankel_section, toeplitz_section, trace_f_direct
+from .errors import (ContourTooTight, EigFailure, GridTooCoarse, SingularSymbol,
+                     SpectrumTooClose)
+from .fitting import fit_decay
+from .symbol import (LaurentMatrixSeries, _refine, default_grid_size, reverse,
+                     winding_number)
+from .toeplitz import _assemble, hankel_section, toeplitz_section, trace_f_direct
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,50 +177,40 @@ def trace_mean(a, f, grid_size=None):
     return complex(np.mean(np.sum(f(evals), axis=1)))
 
 
-def _negative_offset_table(values_hat, depth, m):
-    """Blocks at offsets -1..-depth from FFT bins, index d -> offset -d."""
-    idx = (-np.arange(1, depth + 1)) % m
-    return values_hat[idx]
-
-
-def _hankel_from_table(table, m_section, n):
-    j = np.arange(m_section)
-    idx = j[:, None] + j[None, :]  # table[d] holds offset -(d+1)
-    blocks = table[idx]
-    return blocks.transpose(0, 2, 1, 3).reshape(m_section * n, m_section * n)
-
-
-def trace_constant(a, f, contour, hankel_m=None, tol=1e-9, max_section=2048):
+def trace_constant(a, f, contour):
     """Contour integral of f against d/dlambda log det T(a-l) T((a-l)^-1).
 
     At each node the determinant is represented through
     M(l) = I - H(a) H(((a-l)^-1)~)   (the Hankel of a - l equals the
     Hankel of a, constants carry no Hankel part), and the derivative is
     the exact resolvent form tr(M^-1 M') with
-    M'(l) = -H(a) H(((a-l)^-2)~).  The Hankel section size is doubled
-    until the quadrature value stabilizes to ``tol``.  H(a) has only W
-    nonzero rows and columns when a has positive bandwidth W, which makes
-    M block triangular: every section of size m >= W yields the trace of
-    the W x W corner, so the corner is what gets evaluated.
+    M'(l) = -H(a) H(((a-l)^-2)~).  H(a) has only W nonzero rows and
+    columns when a has positive bandwidth W, which makes M block
+    triangular: every section of size m >= W yields the trace of the
+    W x W corner, so the corner is what gets evaluated.  The grid that
+    carries the resolvent coefficients is sized for a nominal section
+    doubled from max(64, W) until the quadrature value stabilizes to 1e-9;
+    NoConvergence is raised when it does not by section 2048 (at once when
+    W > 2048).
     """
     n = a.block_size
     band = max((k for k in a.coeffs if k > 0), default=0)
     if band == 0:
         return 0.0 + 0.0j  # H(a) vanishes, M(l) is the identity
-    m_section = hankel_m or max(64, band)
     if hasattr(f, "check"):
         f.check(contour.nodes, where="contour nodes")
-    prev = None
-    while m_section <= max_section:
-        m_eff = min(m_section, band)
+    fvals = f(contour.nodes)
+
+    def step(m_section, prev):
         # the grid keeps growing with the nominal section so the
         # stabilization check also validates the coefficient accuracy
         m_grid = max(a.grid_size, default_grid_size(2 * m_section))
         samples = a.sample(m_grid).samples
-        ha = hankel_section(a, m_eff).data
-        eye = np.eye(m_eff * n)
+        ha = hankel_section(a, band).data
+        eye = np.eye(band * n)
+        j = np.arange(band)
+        idx = -(j[:, None] + j[None, :] + 1)  # FFT bins of offsets -(j+k+1)
         total = 0.0 + 0.0j
-        fvals = f(contour.nodes)
         for lam, weight, fv in zip(contour.nodes, contour.weights, fvals):
             shifted = samples - lam * np.eye(n)
             if n == 1:
@@ -231,13 +222,8 @@ def trace_constant(a, f, contour, hankel_m=None, tol=1e-9, max_section=2048):
                     f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
             inv = 1.0 / shifted if n == 1 else np.linalg.inv(shifted)
             inv2 = inv * inv if n == 1 else inv @ inv
-            hat1 = np.fft.fft(inv, axis=0) / m_grid
-            hat2 = np.fft.fft(inv2, axis=0) / m_grid
-            depth = 2 * m_eff
-            t1 = _negative_offset_table(hat1, depth, m_grid)
-            t2 = _negative_offset_table(hat2, depth, m_grid)
-            h1 = _hankel_from_table(t1, m_eff, n)
-            h2 = _hankel_from_table(t2, m_eff, n)
+            h1 = _assemble(np.fft.fft(inv, axis=0) / m_grid, idx, 0)
+            h2 = _assemble(np.fft.fft(inv2, axis=0) / m_grid, idx, 0)
             mmat = eye - ha @ h1
             mprime = -(ha @ h2)
             try:
@@ -248,22 +234,19 @@ def trace_constant(a, f, contour, hankel_m=None, tol=1e-9, max_section=2048):
                 ) from exc
             total += weight * fv * np.trace(solved)
         val = complex(total / (2j * np.pi))
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        m_section *= 2
-    raise NoConvergence(
-        f"constant-term quadrature did not stabilize below section {max_section}")
+        return val, np.inf if prev is None else abs(val - prev)
+
+    return _refine(step, max(64, band), 2048, 1e-9)
 
 
-def trace_asymptotic(a, n, f, contour, hankel_m=None):
+def trace_asymptotic(a, n, f, contour):
     """(n+1) trace_mean(a, f) + trace_constant(a, f, contour)."""
     gf = trace_mean(a, f)
-    ef = trace_constant(a, f, contour, hankel_m=hankel_m)
+    ef = trace_constant(a, f, contour)
     return (n + 1) * gf + ef
 
 
-def trace_remainder_scan(a, f, n_grid, contour, hankel_m=None):
+def trace_remainder_scan(a, f, n_grid, contour):
     """Decay fit of |tr f(T_n) - predicted| over the grid of n.
 
     When the symbol carries a smoothness tag gamma, the fit also reports
@@ -276,7 +259,7 @@ def trace_remainder_scan(a, f, n_grid, contour, hankel_m=None):
     if len(ns) < 4 or ns[0] < 4 or ns[-1] < 8 * ns[0]:
         raise ValueError("n_grid needs >= 4 points >= 4 spanning a factor of 8")
     gf = trace_mean(a, f)
-    ef = trace_constant(a, f, contour, hankel_m=hankel_m)
+    ef = trace_constant(a, f, contour)
     mags = []
     for n in ns:
         direct = trace_f_direct(a, n, f)

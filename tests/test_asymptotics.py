@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,19 @@ def test_szego_constant_identity():
 def test_szego_constant_fixture(rational_symbol):
     val = tp.szego_constant(rational_symbol)
     assert val == pytest.approx(4.0 / 3.0, abs=1e-10)
+
+
+def test_szego_constant_raises_above_corner_cap():
+    # bandwidth 8192 > 4096: raise before the inverse or the corner is built
+    a = tp.zygmund_symbol(0.75, 13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(tp.NoConvergence, match="szego_constant"):
+            tp.szego_constant(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_szego_series_oracle_cross_check(rational_symbol):

@@ -1,0 +1,98 @@
+"""Byte-for-byte golden outputs of every CLI subcommand.
+
+Each case runs ``toepasym.cli.main`` in a scratch directory and compares
+its exit code and every file it writes with the copies under
+``tests/golden/cli``.  The files written by one case feed the later ones
+(the symbols, the expansion CSVs), so the cases run in order.  The bytes
+depend on the numpy/LAPACK build that wrote them (17 significant
+digits).  After an intended change of the outputs, regenerate the
+copies with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from toepasym.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
+Z = ["--zygmund", "0.75", "--levels", "4", "--seed", "1"]
+B = ["--two-block", "0.5", "0.2"]
+
+#: (argv, expected exit code, files the command writes)
+CASES = [
+    (["gen-symbol", *Z, "-o", "z.json"], 0, ["z.json"]),
+    (["gen-symbol", *B, "-o", "b.json"], 0, ["b.json"]),
+    (["factor", "--symbol", "z.json", "-o", "fz"], 0,
+     ["fz_u_minus.json", "fz_u_plus.json", "fz_report.json"]),
+    (["factor", "--symbol", "b.json", "--left", "--m", "128", "-o", "fb"], 0,
+     ["fb_v_plus.json", "fb_v_minus.json", "fb_report.json"]),
+    (["logdet-scan", "--symbol", "z.json", "--n-min", "0", "--n-max", "64",
+      "--step", "8", "-o", "ld_z.csv"], 0, ["ld_z.csv"]),
+    (["logdet-scan", "--symbol", "b.json", "--n-min", "0", "--n-max", "32",
+      "--step", "4", "-o", "ld_b.csv"], 0, ["ld_b.csv"]),
+    (["trace-scan", "--symbol", "z.json", "--f", "exp", "--n-min", "4",
+      "--n-max", "64", "--step", "12", "-o", "tr_z.csv"], 0, ["tr_z.csv"]),
+    (["trace-scan", "--symbol", "b.json", "--f", "square", "--n-min", "4",
+      "--n-max", "32", "--step", "7", "-o", "tr_b.csv"], 0, ["tr_b.csv"]),
+    *[(["expand", "--symbol", "z.json", "--p", p, "--n-grid", "8:128:geometric",
+        "-o", f"ex{p}.csv"], 0, [f"ex{p}.csv"]) for p in ("1", "2", "3")],
+    (["expand", "--symbol", "b.json", "--p", "2", "--n-grid", "8:64:geometric",
+      "-o", "ex_b.csv"], 0, ["ex_b.csv"]),
+    (["widom-trace", "--symbol", "z.json", "--f", "log", "--n-grid",
+      "8:128:geometric", "--nodes", "64", "-o", "wt_z.csv",
+      "--fit-out", "wt_z.json"], 0, ["wt_z.csv", "wt_z.json"]),
+    (["widom-trace", "--symbol", "b.json", "--f", "square", "--n-grid",
+      "8:64:geometric", "--nodes", "64", "-o", "wt_b.csv",
+      "--fit-out", "wt_b.json"], 0, ["wt_b.csv", "wt_b.json"]),
+    (["decay-fit", "--input", "wt_z.csv", "-o", "fit_wt_z.json"], 0,
+     ["fit_wt_z.json"]),
+    # the p=1 residuals of a band-limited symbol sit at the floor: exit 15
+    (["decay-fit", "--input", "ex1.csv", "-o", "fit_ex1.json"], 15, []),
+    (["approx-scan", "--symbol", "z.json", "--gamma", "0.75", "--n-grid",
+      "4:16:geometric", "-o", "approx.csv"], 0, ["approx.csv"]),
+    (["smoothness", "--symbol", "z.json", "--gamma", "0.75", "--n-grid",
+      "1:8:geometric", "-o", "smooth.json"], 0, ["smooth.json"]),
+]
+
+
+def _run_all(workdir):
+    """Run every case in workdir; return (argv, code, stderr, outputs) each."""
+    results = []
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv, _, files in CASES:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            results.append((argv, code, err.getvalue(), {
+                name: (Path(workdir) / name).read_bytes() for name in files}))
+    finally:
+        os.chdir(old)
+    return results
+
+
+def test_cli_outputs_match_golden(tmp_path):
+    for (argv, code, stderr, outputs), case in zip(_run_all(tmp_path), CASES):
+        assert code == case[1], (argv, stderr)
+        for name, data in outputs.items():
+            assert data == (GOLDEN / name).read_bytes(), (argv, name)
+
+
+def _regenerate():
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, code, stderr, outputs in _run_all(tmp):
+            print(code, " ".join(argv), stderr.strip())
+            for name, data in outputs.items():
+                (GOLDEN / name).write_bytes(data)
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())

@@ -70,37 +70,70 @@ def test_reverse():
         np.testing.assert_allclose(rr.block(k), a.block(k))
 
 
-def test_pointwise_inverse_constant():
-    inv, res = tp.pointwise_inverse(tp.scalar_symbol({0: 2.0}))
+def _inverse_residual(a, inv, m=1024):
+    """sup_j |a(t_j) inv(t_j) - I| on an m-point grid."""
+    prod = a.sample(m).samples @ inv.sample(m).samples
+    return float(np.max(np.abs(prod - np.eye(a.block_size))))
+
+
+def test_certified_inverse_constant():
+    a = tp.scalar_symbol({0: 2.0})
+    inv = tp.certified_inverse(a)
     assert inv.block(0)[0, 0] == pytest.approx(0.5, abs=1e-13)
-    assert res < 1e-12
+    assert _inverse_residual(a, inv) < 1e-12
 
 
-def test_pointwise_inverse_geometric(geometric_symbol):
-    inv, res = tp.pointwise_inverse(geometric_symbol, cutoff=40)
+def test_certified_inverse_geometric(geometric_symbol):
+    inv = tp.certified_inverse(geometric_symbol)
     for k in range(0, 41):
         assert abs(inv.block(k)[0, 0] - 0.5**k) < 1e-10
-    assert res < 1e-10
+    assert _inverse_residual(geometric_symbol, inv) < 1e-10
 
 
-def test_pointwise_inverse_shift():
-    inv, _ = tp.pointwise_inverse(tp.scalar_symbol({1: 1.0}), cutoff=4)
+def test_certified_inverse_shift():
+    inv = tp.certified_inverse(tp.scalar_symbol({1: 1.0}))
     assert inv.support() == [-1]
     assert inv.block(-1)[0, 0] == pytest.approx(1.0, abs=1e-13)
 
 
-def test_pointwise_inverse_heuristic_residual(geometric_symbol):
-    # documented heuristic cutoff must reach residual <= 1e-8
-    _, res = tp.pointwise_inverse(geometric_symbol)
-    assert res <= 1e-8
-    _, res2 = tp.pointwise_inverse(tp.scalar_symbol({0: 2.0, 1: -0.3, -1: 0.1}))
-    assert res2 <= 1e-8
-
-
-def test_pointwise_inverse_singular():
+def test_certified_inverse_singular():
     # 1 + t vanishes at theta = pi
     with pytest.raises(tp.SingularSymbol):
-        tp.pointwise_inverse(tp.scalar_symbol({0: 1.0, 1: 1.0}))
+        tp.certified_inverse(tp.scalar_symbol({0: 1.0, 1: 1.0}))
+
+
+def test_certified_inverse_raises_at_grid_cap():
+    # 1 - 0.999 t: the inverse decays like 0.999^k, so 2^17 nodes still
+    # alias far more than the tolerance
+    with pytest.raises(tp.NoConvergence, match="certified_inverse"):
+        tp.certified_inverse(tp.scalar_symbol({0: 1.0, 1: -0.999}))
+
+
+def test_refine_raises_with_stage_and_gap():
+    from toepasym.symbol import _refine
+
+    def never_settles(m, prev):
+        return m, 1.0
+
+    with pytest.raises(tp.NoConvergence) as info:
+        _refine(never_settles, 8, 64, 1e-3)
+    message = str(info.value)
+    # the stage is the function that defines the step
+    assert message.startswith("test_refine_raises_with_stage_and_gap:")
+    assert "1.000e+00" in message
+    assert "64" in message
+
+
+def test_refine_returns_first_settled_value():
+    from toepasym.symbol import _refine
+    seen = []
+
+    def halving(m, prev):
+        seen.append(m)
+        return m, 1.0 / m
+
+    assert _refine(halving, 8, 1024, 1e-2) == 128
+    assert seen == [8, 16, 32, 64, 128]
 
 
 def test_multiply_hand_expansion():

@@ -148,7 +148,7 @@ def test_trace_square_convolution_identity():
 def test_widom_identity_at_section_level(rational_symbol):
     # I - section of T(a) T(a^-1) equals the section of H(a) H((a^-1)~)
     a = rational_symbol
-    ainv, _ = tp.pointwise_inverse(a, cutoff=60)
+    ainv = tp.certified_inverse(a)
     m, pad = 8, 70
     t_big = tp.toeplitz_section(a, m + pad).data
     tinv_big = tp.toeplitz_section(ainv, m + pad).data

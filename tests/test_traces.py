@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,20 @@ def test_trace_constant_cauchy_deformation(rational_symbol, fixture_contour):
     dense = tp.build_contour(spectrum, 0.5, nodes=512)
     ef_dense = tp.trace_constant(rational_symbol, tp.SQUARE, dense)
     assert abs(ef - ef_dense) < 1e-9
+
+
+def test_trace_constant_raises_above_section_cap():
+    # bandwidth 4096 starts above the section cap 2048: no corner is built
+    a = tp.scalar_symbol({0: 10.0, 4096: 1.0, -4096: 1.0})
+    contour = tp.build_contour(tp.SpectrumEstimate.from_points([10.0]), 3.0, nodes=64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(tp.NoConvergence, match="trace_constant"):
+            tp.trace_constant(a, tp.SQUARE, contour)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trace_asymptotic_exact_identity(rational_symbol, fixture_contour):
