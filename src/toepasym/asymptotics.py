@@ -21,8 +21,8 @@ from .errors import NoConvergence, NonZeroWinding
 from .factor import canonical_wiener_hopf, correction_symbols
 from .fitting import fit_decay
 from .symbol import _branch_log, _refine, certified_inverse, reverse
-from .toeplitz import (correction_term, hankel_section, log_det_direct,
-                       log_det_scan)
+from .toeplitz import (_correction_sections, _correction_value, hankel_section,
+                       log_det_direct, log_det_scan)
 
 
 def log_geometric_mean(a):
@@ -148,7 +148,9 @@ def _correction_trace_series(b, c, p, upto):
         return out
     for ell in range(1, min(upto, live - 1) + 1):
         m = max(max(s_b, s_c), ell + 9)
-        terms = [correction_term(b, c, ell, k, m=m).value for k in range(p - 1)]
+        sections = _correction_sections(b, c, ell, m)
+        terms = [_correction_value(b, c, ell, k, m, sections).value
+                 for k in range(p - 1)]
         t = 0.0 + 0.0j
         for j in range(1, p):
             gsum = np.sum(terms[: p - j], axis=0)

@@ -103,7 +103,7 @@ def _factors_margin(factors):
 # ---------------------------------------------------------------------------
 # scalar path
 
-def scalar_wiener_hopf(a, cutoff=None, tol=DEFAULT_TOL):
+def scalar_wiener_hopf(a, cutoff=None):
     """Factorization of a nonvanishing scalar symbol by log splitting.
 
     The branch-continuous logarithm g = log a is split into g_minus
@@ -236,7 +236,7 @@ def block_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
 def canonical_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
     """Dispatch to the scalar or block factorization path."""
     if a.block_size == 1:
-        return scalar_wiener_hopf(a, tol=tol)
+        return scalar_wiener_hopf(a)
     return block_wiener_hopf(a, section=section, tol=tol)
 
 

@@ -20,6 +20,9 @@ from .errors import (BlockSizeMismatch, CutoffTooLarge, GridTooCoarse,
 #: when extracting coefficients from samples (FFT round-off, not signal)
 _NOISE_FACTOR = 64 * np.finfo(float).eps
 
+#: largest number of samples (2 MB of complex128) in one batched array
+_BATCH_SAMPLES = 1 << 17
+
 
 def _pow2_at_least(x):
     return 1 << max(1, int(x) - 1).bit_length() if x > 1 else 2
@@ -284,6 +287,38 @@ def multiply(a, b):
     return LaurentMatrixSeries(a.block_size, out)
 
 
+def _row_chunks(rows, row_size):
+    """Slices over ``rows`` rows of ``row_size`` samples each, holding at
+    most _BATCH_SAMPLES samples per slice (at least one row)."""
+    step = max(1, _BATCH_SAMPLES // row_size)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _sample_rows(offsets, table, m):
+    """Samples on the M-point grid of one series per row of ``table``.
+
+    table[r, i] is the block of series r at offsets[i]; the result has
+    shape (R, M, N, N).  Each row is bit-identical to the samples that
+    LaurentMatrixSeries.sample gives for the same blocks.
+    """
+    carr = np.zeros((table.shape[0], m) + table.shape[2:], dtype=complex)
+    carr[:, np.asarray(offsets, dtype=int) % m] += table
+    return m * np.fft.ifft(carr, axis=1)
+
+
+def _sample_shifted(a, lams):
+    """Samples of a - lam I on a's grid for each lam, shape (R, M, N, N).
+
+    Row r is bit-identical to the samples of the series a - lams[r] I.
+    """
+    n = a.block_size
+    offsets = sorted(set(a.coeffs) | {0})
+    blocks = np.stack([a.block(k) for k in offsets])
+    table = np.repeat(blocks[None], len(lams), axis=0)
+    table[:, offsets.index(0)] = a.block(0) - lams[:, None, None] * np.eye(n)
+    return _sample_rows(offsets, table, a.grid_size)
+
+
 def _margin(samples):
     """Smallest singular value over the grid, with its argmin node."""
     if samples.shape[1] == 1:
@@ -382,34 +417,75 @@ def _branch_log(values, rel_floor=1e-12):
     small.  Raises SingularSymbol when values approach zero.
     """
     absv = np.abs(values)
-    scale = float(absv.max()) if absv.size else 0.0
-    if scale == 0.0 or absv.min() <= rel_floor * scale:
-        j = int(np.argmin(absv))
-        raise SingularSymbol(
-            f"determinant magnitude {absv[j]:.3e} at grid node {j}")
+    if _singular_rows(absv, rel_floor):
+        _raise_singular(absv)
     steps = np.angle(np.roll(values, -1) / values)
     phase = np.angle(values[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
     return np.log(absv) + 1j * phase, float(steps.sum()), float(np.abs(steps).max())
 
 
+def _singular_rows(absv, rel_floor):
+    """Rows of magnitudes (..., M) that vanish or whose smallest entry is
+    at most rel_floor times their largest."""
+    scale = absv.max(axis=-1)
+    return (scale == 0.0) | (absv.min(axis=-1) <= rel_floor * scale)
+
+
+def _raise_singular(absv):
+    j = int(np.argmin(absv))
+    raise SingularSymbol(f"determinant magnitude {absv[j]:.3e} at grid node {j}")
+
+
+#: fault codes of _winding_rows
+_SINGULAR, _STEEP, _OFF_MULTIPLE = 1, 2, 3
+
+
+def _winding_rows(det, rel_floor=1e-12):
+    """Winding decision for closed curves sampled along the rows of det (R, M).
+
+    Returns (w, fault, total, max_step) per row: the phase total (sum of
+    the steps between consecutive samples, each in (-pi, pi]), the largest
+    step, and w = total / 2 pi rounded.  fault is 0 when the row winds w
+    times, _SINGULAR when it comes within rel_floor of zero (relative to
+    its largest magnitude), _STEEP when a step reaches pi/2 (the grid is
+    too coarse to track the branch) and _OFF_MULTIPLE when the total is
+    more than 0.5 away from 2 pi w.
+    """
+    singular = _singular_rows(np.abs(det), rel_floor)
+    # a singular row may hold exact zeros; its steps are not used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.angle(np.roll(det, -1, axis=-1) / det)
+        total = steps.sum(axis=-1)
+        max_step = np.abs(steps).max(axis=-1)
+        w = np.rint(total / (2 * np.pi))
+        fault = np.select(
+            [singular, max_step >= np.pi / 2, np.abs(total - 2 * np.pi * w) > 0.5],
+            [_SINGULAR, _STEEP, _OFF_MULTIPLE], 0)
+        w = np.where(fault == 0, w, 0).astype(int)
+    return w, fault, total, max_step
+
+
 def winding_number(a, grid_size=None):
     """Winding number of theta -> det a(e^{i theta}) around zero.
 
-    Raises GridTooCoarse when any per-step phase jump reaches pi/2, which
-    signals that the grid is too coarse to track the branch.
+    Raises SingularSymbol when the determinant comes within 1e-12 of zero
+    relative to its largest magnitude, and GridTooCoarse when any per-step
+    phase jump reaches pi/2, which signals that the grid is too coarse to
+    track the branch.
     """
     m = grid_size or a.grid_size
     samples = a.sample(m).samples
     det = samples[:, 0, 0] if a.block_size == 1 else np.linalg.det(samples)
-    _, total, max_step = _branch_log(det)
-    if max_step >= np.pi / 2:
+    (w,), (fault,), (total,), (max_step,) = _winding_rows(det[None])
+    if fault == _SINGULAR:
+        _raise_singular(np.abs(det))
+    if fault == _STEEP:
         raise GridTooCoarse(
             f"phase step {max_step:.3f} >= pi/2 on a grid of {m} nodes")
-    w = int(round(total / (2 * np.pi)))
-    if abs(total - 2 * np.pi * w) > 0.5:
+    if fault == _OFF_MULTIPLE:
         raise GridTooCoarse(
             f"accumulated phase {total:.6f} is not close to a multiple of 2 pi")
-    return w
+    return int(w)
 
 
 # ---------------------------------------------------------------------------

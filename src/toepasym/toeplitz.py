@@ -157,7 +157,13 @@ def correction_term(b, c, ell, k, m=None, tail_tol=1e-8):
         m = max(4 * ell, ell + 32)
     if m <= ell + 8:
         raise ValueError(f"truncation m={m} must exceed ell+8={ell + 8}")
-    row, inner, col = _correction_sections(b, c, ell, m)
+    return _correction_value(b, c, ell, k, m, _correction_sections(b, c, ell, m),
+                             tail_tol)
+
+
+def _correction_value(b, c, ell, k, m, sections, tail_tol=1e-8):
+    """correction_term from prebuilt _correction_sections(b, c, ell, m)."""
+    row, inner, col = sections
     power = np.linalg.matrix_power(inner, k) if k else np.eye(inner.shape[0])
     value = row @ power @ col
     tail_b = _tail_mass(b, "plus", m)
@@ -172,8 +178,10 @@ def correction_term(b, c, ell, k, m=None, tail_tol=1e-8):
     else:
         row_mass = _tail_mass(c, "minus", ell)
         col_mass = _tail_mass(b, "plus", ell)
-        s = float(np.linalg.norm(inner, 2)) if inner.size else 0.0
-        bound = (tail_c * col_mass + row_mass * tail_b + tail_b * tail_c) * s**k
+        bracket = tail_c * col_mass + row_mass * tail_b + tail_b * tail_c
+        # the spectral norm (an SVD) only scales a nonzero bracket
+        s = float(np.linalg.norm(inner, 2)) if bracket and inner.size else 0.0
+        bound = bracket * s**k
     if bound > tail_tol:
         raise TruncationTooSmall(
             f"tail bound {bound:.3e} exceeds {tail_tol:g} at m={m}")

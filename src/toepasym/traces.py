@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContourTooTight, EigFailure, GridTooCoarse, SingularSymbol,
-                     SpectrumTooClose)
+from .errors import ContourTooTight, EigFailure, SpectrumTooClose
 from .fitting import fit_decay
-from .symbol import (LaurentMatrixSeries, _refine, default_grid_size, reverse,
-                     winding_number)
+from .symbol import (_refine, _row_chunks, _sample_shifted, _winding_rows,
+                     default_grid_size, reverse)
 from .toeplitz import _assemble, hankel_section, toeplitz_section, trace_f_direct
 
 
@@ -70,7 +69,9 @@ def estimate_spectrum(a, m=64, interior_grid=25):
 
     For scalar symbols, points of a coarse rectangle grid over the cloud's
     bounding box with nonzero winding of a - lambda are added (interior of
-    the symbol curve belongs to the spectrum).
+    the symbol curve belongs to the spectrum), together with the points
+    where the winding number of a - lambda is undefined (winding_number
+    would raise).  All grid points are decided in batched passes.
     """
     if m < 64:
         raise ValueError("section size m must be >= 64")
@@ -87,22 +88,15 @@ def estimate_spectrum(a, m=64, interior_grid=25):
         base = np.concatenate(clouds)
         re = np.linspace(base.real.min(), base.real.max(), interior_grid)
         im = np.linspace(base.imag.min(), base.imag.max(), interior_grid)
-        marked = []
-        for lam in (re[:, None] + 1j * im[None, :]).ravel():
-            try:
-                if winding_number(_shift(a, lam)) != 0:
-                    marked.append(lam)
-            except (SingularSymbol, GridTooCoarse):
-                marked.append(lam)  # on or next to the symbol curve
-        if marked:
-            clouds.append(np.asarray(marked))
+        lams = (re[:, None] + 1j * im[None, :]).ravel()
+        marked = np.zeros(lams.size, dtype=bool)
+        for rows in _row_chunks(lams.size, a.grid_size):
+            w, fault, _, _ = _winding_rows(_sample_shifted(a, lams[rows])[:, :, 0, 0])
+            # a faulty row lies on or next to the symbol curve
+            marked[rows] = (w != 0) | (fault != 0)
+        if marked.any():
+            clouds.append(lams[marked])
     return SpectrumEstimate.from_points(np.concatenate(clouds))
-
-
-def _shift(a, lam):
-    coeffs = dict(a.coeffs)
-    coeffs[0] = a.block(0) - lam * np.eye(a.block_size)
-    return LaurentMatrixSeries(a.block_size, coeffs, a.grid_size)
 
 
 def _connected(points, threshold):

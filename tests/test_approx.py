@@ -3,7 +3,8 @@ import pytest
 
 import toepasym as tp
 from toepasym.approx import best_error_on_grid
-from conftest import random_scalar_symbol
+from toepasym.symbol import _BATCH_SAMPLES
+from conftest import random_block_symbol, random_scalar_symbol
 
 COS = tp.scalar_symbol({1: 0.5, -1: 0.5})  # cos(theta)
 
@@ -26,6 +27,7 @@ def test_modulus_constant_zero():
     const = tp.scalar_symbol({0: 3.0})
     assert tp.modulus_of_smoothness(const, 1, np.pi) == pytest.approx(0.0, abs=1e-13)
     assert tp.modulus_of_smoothness(const, 2, 1.0) == pytest.approx(0.0, abs=1e-13)
+    assert tp.modulus_of_smoothness(tp.LaurentMatrixSeries(1, {}), 2, 1.0) == 0.0
 
 
 def test_modulus_invalid_args():
@@ -51,6 +53,47 @@ def test_modulus_monotone_in_s():
     vals = [tp.modulus_of_smoothness(g, 2, s, grid_size=1024, sweep=64)
             for s in (0.4, 0.8, 1.6, np.pi)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def _per_shift_modulus(a, order, s, grid_size, sweep):
+    """Reference: the sweep that samples one shift at a time."""
+    m = max(grid_size, a.grid_size)
+    n = a.block_size
+
+    def shifted(h):
+        carr = np.zeros((m, n, n), dtype=complex)
+        for k in a.support():
+            carr[k % m] += np.exp(1j * k * h) * a.coeffs[k]
+        return m * np.fft.ifft(carr, axis=0)
+
+    base = shifted(0.0)
+    worst = 0.0
+    for h in np.linspace(s / sweep, s, sweep):
+        plus = shifted(h)
+        diff = plus - base if order == 1 else plus - 2 * base + shifted(-h)
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_batched_sweep_matches_per_shift_sweep(block_size):
+    grid = 1024
+    rng = np.random.default_rng(40 + block_size)
+    g = (random_scalar_symbol(rng, max_offset=5) if block_size == 1
+         else random_block_symbol(rng, block_size=block_size, max_offset=4))
+    one_left = _BATCH_SAMPLES // (grid * block_size**2) + 1  # last batch: one shift
+    for order in (1, 2):
+        for sweep in (1, 7, 512, one_left):
+            for s in (0.7, np.pi):
+                batched = tp.modulus_of_smoothness(g, order, s, grid, sweep)
+                assert batched == _per_shift_modulus(g, order, s, grid, sweep)
+
+
+def test_zygmund_seminorm_is_max_over_scales():
+    g = tp.zygmund_symbol(0.75, 6, seed=4)
+    scales = [np.pi * 2.0 ** (-i) for i in range(13)]
+    per_scale = [tp.modulus_of_smoothness(g, 2, s, 1024, 40) / s**0.6 for s in scales]
+    assert tp.zygmund_seminorm(g, 0.6, 1024, 40) == max(per_scale)
 
 
 def test_zygmund_seminorm_constant():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import toepasym as tp
+from toepasym.symbol import _BATCH_SAMPLES
 
 
 @pytest.fixture
@@ -48,6 +49,44 @@ def test_estimate_spectrum_winding_interior():
     # a(t) = t: the spectrum is the closed unit disk
     s = tp.estimate_spectrum(tp.scalar_symbol({1: 1.0}), 64)
     assert np.min(np.abs(s.points)) < 0.2  # interior points marked
+
+
+def _per_point_interior(a, base):
+    """Reference: the grid points winding_number marks one at a time
+    (nonzero winding, or a raise on or next to the symbol curve)."""
+    re = np.linspace(base.real.min(), base.real.max(), 25)
+    im = np.linspace(base.imag.min(), base.imag.max(), 25)
+    marked = []
+    for lam in (re[:, None] + 1j * im[None, :]).ravel():
+        coeffs = dict(a.coeffs)
+        coeffs[0] = a.block(0) - lam * np.eye(1)
+        try:
+            if tp.winding_number(tp.LaurentMatrixSeries(1, coeffs, a.grid_size)) != 0:
+                marked.append(lam)
+        except (tp.SingularSymbol, tp.GridTooCoarse):
+            marked.append(lam)
+    return np.asarray(marked, dtype=complex)
+
+
+@pytest.mark.parametrize("name", ["zygmund", "t+0.3", "t^2+0.5/t", "random",
+                                  "rational", "several_batches"])
+def test_estimate_spectrum_interior_matches_winding_number(name, rational_symbol):
+    rng = np.random.default_rng(11)
+    a = {"zygmund": tp.zygmund_symbol(0.75, 5, seed=2),
+         "t+0.3": tp.scalar_symbol({1: 1.0, 0: 0.3}),
+         "t^2+0.5/t": tp.scalar_symbol({2: 1.0, -1: 0.5}),
+         "random": tp.scalar_symbol({k: rng.standard_normal() + 1j * rng.standard_normal()
+                                     for k in range(-3, 4)}),
+         "rational": rational_symbol,
+         "several_batches": tp.zygmund_symbol(0.5, 9, seed=7)}[name]
+    if name == "several_batches":
+        assert _BATCH_SAMPLES // a.grid_size < 625 // 4  # the 25 x 25 grid
+    m = 64
+    s = tp.estimate_spectrum(a, m)
+    n_base = 2 * (m + 1) + a.grid_size  # both sections' eigenvalues, the samples
+    expected = _per_point_interior(a, s.points[:n_base])
+    assert len(expected) > 0
+    np.testing.assert_array_equal(s.points[n_base:], expected)
 
 
 def test_build_contour_singleton():
