@@ -64,12 +64,18 @@ def modulus_of_smoothness(a, order, s, grid_size=DENSE_GRID, sweep=SHIFT_SWEEP):
 
 
 def zygmund_seminorm(a, delta, grid_size=DENSE_GRID, sweep=SHIFT_SWEEP):
-    """sup over dyadic s = pi 2^-i, i = 0..12, of omega_2(a, s) / s^delta."""
+    """sup over dyadic s = pi 2^-i, i = 0..12, of omega_2(a, s) / s^delta.
+
+    The sweeps of neighbouring scales share shifts (2198 of 6656 at
+    sweep 512 are exact repeats); each distinct shift is swept once.
+    """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     scales = [np.pi * 2.0 ** (-i) for i in range(13)]
     hs = np.concatenate([np.linspace(s / sweep, s, sweep) for s in scales])
-    per_scale = _sweep_maxima(a, 2, hs, grid_size).reshape(13, sweep).max(axis=1)
+    distinct, where = np.unique(hs, return_inverse=True)
+    per_shift = _sweep_maxima(a, 2, distinct, grid_size)[where]
+    per_scale = per_shift.reshape(13, sweep).max(axis=1)
     best = 0.0
     for s, omega in zip(scales, per_scale):
         best = max(best, float(omega) / s**delta)

@@ -17,9 +17,9 @@ import scipy.linalg
 
 from .errors import (IllConditionedSection, NonCanonical, NonZeroWinding,
                      SpectrumTooClose)
-from .symbol import (LaurentMatrixSeries, SymbolGrid, _branch_log, _margin,
-                     _refine, _tail_cutoff, add_constant, certified_inverse,
-                     coefficients_from_samples, multiply)
+from .symbol import (LaurentMatrixSeries, SymbolGrid, _branch_log, _refine,
+                     _smallest_singular_values, _tail_cutoff, add_constant,
+                     certified_inverse, coefficients_from_samples, multiply)
 from .toeplitz import toeplitz_section
 
 DEFAULT_TOL = 1e-8
@@ -95,7 +95,7 @@ def _factors_margin(factors):
     m = _common_grid(factors)
     worst = np.inf
     for f in factors:
-        margin, _ = _margin(f.sample(m).samples)
+        margin = float(_smallest_singular_values(f.sample(m).samples).min())
         worst = min(worst, margin)
     return worst
 

@@ -45,14 +45,21 @@ def _coerce_block(value, n):
 
 
 def _normalize_coeffs(coeffs, n):
-    out = {}
-    for k, value in coeffs.items():
-        arr = _coerce_block(value, n)
-        if np.any(arr != 0):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            out[int(k)] = arr
-    return out
+    """Read-only copies of the nonzero blocks, keyed by int offset in the
+    order given.  Well-shaped input is checked in one array pass; ragged
+    or mis-shaped input goes block by block, which names the first fault."""
+    try:
+        blocks = np.array(list(coeffs.values()), dtype=complex)
+    except (TypeError, ValueError):
+        blocks = None
+    if blocks is None or blocks.shape != (len(coeffs), n, n):
+        blocks = np.array([_coerce_block(v, n) for v in coeffs.values()],
+                          dtype=complex).reshape(-1, n, n)
+    elif not np.all(np.isfinite(blocks)):
+        raise ValueError("symbol blocks must be finite")
+    blocks.setflags(write=False)
+    keep = np.any(blocks != 0, axis=(1, 2))
+    return {int(k): blk for k, blk, kept in zip(coeffs, blocks, keep) if kept}
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,16 +282,29 @@ def multiply(a, b):
     if a.block_size != b.block_size:
         raise BlockSizeMismatch(
             f"block sizes differ: {a.block_size} vs {b.block_size}")
-    out = {}
+    if not a.coeffs or not b.coeffs:
+        return LaurentMatrixSeries(a.block_size, {})
+    right = np.stack(list(b.coeffs.values()))
+    right_offsets = np.array(list(b.coeffs))
+    lo = min(a.coeffs) + right_offsets.min()
+    size = max(a.coeffs) + right_offsets.max() - lo + 1
+    table = np.empty((size,) + right.shape[1:], dtype=complex)
+    filled = np.zeros(size, dtype=bool)
+    order = []
+    # one row of products per left block; each output offset sums its
+    # products in left-block order, and its first product is assigned
+    # rather than added to zero, so that -0.0 entries survive
     for k1, b1 in a.coeffs.items():
-        for k2, b2 in b.coeffs.items():
-            k = k1 + k2
-            prod = b1 @ b2
-            if k in out:
-                out[k] = out[k] + prod
-            else:
-                out[k] = prod
-    return LaurentMatrixSeries(a.block_size, out)
+        rows = right_offsets + (k1 - lo)
+        prods = b1 @ right
+        new = ~filled[rows]
+        table[rows[new]] = prods[new]
+        table[rows[~new]] += prods[~new]
+        filled[rows] = True
+        order.append(rows[new])
+    rows = np.concatenate(order)
+    return LaurentMatrixSeries(a.block_size,
+                               dict(zip((rows + lo).tolist(), table[rows])))
 
 
 def _row_chunks(rows, row_size):
@@ -319,14 +339,50 @@ def _sample_shifted(a, lams):
     return _sample_rows(offsets, table, a.grid_size)
 
 
-def _margin(samples):
-    """Smallest singular value over the grid, with its argmin node."""
-    if samples.shape[1] == 1:
-        sv = np.abs(samples[:, 0, 0])
-    else:
-        sv = np.linalg.svd(samples, compute_uv=False)[:, -1]
-    j = int(np.argmin(sv))
-    return float(sv[j]), j
+# blocks whose smallest singular value is at most this count as singular
+_SINGULAR_FLOOR = 1e-10
+
+
+def _smallest_singular_values(samples):
+    """Exact smallest singular value of each block of samples (..., N, N)."""
+    if samples.shape[-1] == 1:
+        return np.abs(samples[..., 0, 0])
+    return np.linalg.svd(samples, compute_uv=False)[..., -1]
+
+
+def _guarded_inverse(samples):
+    """Inverse of every block of samples (..., N, N), with the margins a
+    caller needs to reject blocks whose smallest singular value is at most
+    _SINGULAR_FLOOR.
+
+    Returns (inv, margins).  margins is None when sigma_min(A) >=
+    1 / ||A^-1||_F certifies every block.  That needs two things of each
+    computed inverse X: 1 / ||X||_F must exceed 2 _SINGULAR_FLOOR, and
+    eps ||A||_F ||X||_F must be at most 1e-6, so that X is accurate
+    enough (relative error far below 1/2) that ||A^-1||_F <= 2 ||X||_F
+    and rounding cannot flip the decision.  Otherwise margins holds the
+    exact smallest singular values, shape (...), and the caller tests
+    them; for N = 1 they are the magnitudes, which cost nothing.  inv is
+    None when LAPACK finds a block exactly singular (some margin is then
+    at most the floor; if none is, the LinAlgError propagates).
+    """
+    if samples.shape[-1] == 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / samples, _smallest_singular_values(samples)
+    try:
+        inv = np.linalg.inv(samples)
+    except np.linalg.LinAlgError:
+        margins = _smallest_singular_values(samples)
+        if margins.min() > _SINGULAR_FLOOR:
+            raise
+        return None, margins
+    inv2 = (inv.real ** 2 + inv.imag ** 2).sum(axis=(-2, -1))
+    a2 = (samples.real ** 2 + samples.imag ** 2).sum(axis=(-2, -1))
+    cond2 = (a2 * inv2).max()  # squared Frobenius condition number
+    if (inv2.max() * (2 * _SINGULAR_FLOOR) ** 2 < 1.0
+            and cond2 * np.finfo(float).eps ** 2 <= 1e-12):
+        return inv, None
+    return inv, _smallest_singular_values(samples)
 
 
 def _refine(step, start, cap, tol):
@@ -380,15 +436,19 @@ def certified_inverse(a, tol=1e-13):
     not happen by 2^17 nodes.  The cutoff keeps every offset whose outer
     tail exceeds ``tol``, and at least the support of a.  Raises
     SingularSymbol when the smallest singular value on a grid is <= 1e-10.
+    The guard costs two Frobenius norms per grid: an SVD of the samples
+    runs only when 1 / ||a^-1||_F does not certify the margin or the
+    inverse is too ill-conditioned to trust (see _guarded_inverse).
     """
     def step(m, prev):
         samples = a.sample(m).samples
-        margin, worst = _margin(samples)
-        if margin <= 1e-10:
-            theta = 2 * np.pi * worst / m
-            raise SingularSymbol(
-                f"smallest singular value {margin:.3e} at theta={theta:.6f}")
-        inv = 1.0 / samples if a.block_size == 1 else np.linalg.inv(samples)
+        inv, margins = _guarded_inverse(samples)
+        if margins is not None:
+            worst = int(np.argmin(margins))
+            if margins[worst] <= _SINGULAR_FLOOR:
+                theta = 2 * np.pi * worst / m
+                raise SingularSymbol(
+                    f"smallest singular value {margins[worst]:.3e} at theta={theta:.6f}")
         hat = np.fft.fft(inv, axis=0) / m
         cutoff, alias_mass = _tail_cutoff(np.max(np.abs(hat), axis=(1, 2)), tol)
         return (inv, cutoff), alias_mass

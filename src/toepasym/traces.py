@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ContourTooTight, EigFailure, SpectrumTooClose
 from .fitting import fit_decay
-from .symbol import (_refine, _row_chunks, _sample_shifted, _winding_rows,
-                     default_grid_size, reverse)
+from .symbol import (_SINGULAR_FLOOR, _guarded_inverse, _refine, _row_chunks,
+                     _sample_shifted, _winding_rows, default_grid_size, reverse)
 from .toeplitz import _assemble, hankel_section, toeplitz_section, trace_f_direct
 
 
@@ -186,6 +186,15 @@ def trace_constant(a, f, contour):
     doubled from max(64, W) until the quadrature value stabilizes to 1e-9;
     NoConvergence is raised when it does not by section 2048 (at once when
     W > 2048).
+
+    The nodes run in chunks of at most 2^17 samples: one stacked inverse,
+    square and FFT per chunk, then the corner solve per node, summed in
+    node order.  Before a chunk's solves, SpectrumTooClose is raised at
+    the first of its nodes where the symbol's range comes within 1e-10
+    of the node (smallest singular value of a - lambda on the grid); an
+    SVD decides this only for chunks where 1 / ||(a - lambda)^-1||_F
+    does not certify it or the inverse is too ill-conditioned to trust
+    (see symbol._guarded_inverse).
     """
     n = a.block_size
     band = max((k for k in a.coeffs if k > 0), default=0)
@@ -204,29 +213,31 @@ def trace_constant(a, f, contour):
         eye = np.eye(band * n)
         j = np.arange(band)
         idx = -(j[:, None] + j[None, :] + 1)  # FFT bins of offsets -(j+k+1)
+        bins = slice(-(2 * band - 1), None)  # the bins idx reaches
         total = 0.0 + 0.0j
-        for lam, weight, fv in zip(contour.nodes, contour.weights, fvals):
-            shifted = samples - lam * np.eye(n)
-            if n == 1:
-                dist = np.min(np.abs(shifted[:, 0, 0]))
-            else:
-                dist = float(np.linalg.svd(shifted, compute_uv=False)[:, -1].min())
-            if dist <= 1e-10:
-                raise SpectrumTooClose(
-                    f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
-            inv = 1.0 / shifted if n == 1 else np.linalg.inv(shifted)
+        for chunk in _row_chunks(len(contour.nodes), m_grid * n * n):
+            lams = contour.nodes[chunk]
+            shifted = samples[None] - lams[:, None, None, None] * np.eye(n)
+            inv, margins = _guarded_inverse(shifted)
+            if margins is not None:
+                for lam, dist in zip(lams, margins.min(axis=1)):
+                    if dist <= _SINGULAR_FLOOR:
+                        raise SpectrumTooClose(
+                            f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
             inv2 = inv * inv if n == 1 else inv @ inv
-            h1 = _assemble(np.fft.fft(inv, axis=0) / m_grid, idx, 0)
-            h2 = _assemble(np.fft.fft(inv2, axis=0) / m_grid, idx, 0)
-            mmat = eye - ha @ h1
-            mprime = -(ha @ h2)
-            try:
-                solved = np.linalg.solve(mmat, mprime)
-            except np.linalg.LinAlgError as exc:
-                raise SpectrumTooClose(
-                    f"determinant representation singular at lambda={lam:.6g}"
-                ) from exc
-            total += weight * fv * np.trace(solved)
+            hat1 = np.fft.fft(inv, axis=1)[:, bins] / m_grid
+            hat2 = np.fft.fft(inv2, axis=1)[:, bins] / m_grid
+            for lam, weight, fv, t1, t2 in zip(lams, contour.weights[chunk],
+                                              fvals[chunk], hat1, hat2):
+                mmat = eye - ha @ _assemble(t1, idx, 0)
+                mprime = -(ha @ _assemble(t2, idx, 0))
+                try:
+                    solved = np.linalg.solve(mmat, mprime)
+                except np.linalg.LinAlgError as exc:
+                    raise SpectrumTooClose(
+                        f"determinant representation singular at lambda={lam:.6g}"
+                    ) from exc
+                total += weight * fv * np.trace(solved)
         val = complex(total / (2j * np.pi))
         return val, np.inf if prev is None else abs(val - prev)
 

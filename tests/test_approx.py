@@ -96,6 +96,23 @@ def test_zygmund_seminorm_is_max_over_scales():
     assert tp.zygmund_seminorm(g, 0.6, 1024, 40) == max(per_scale)
 
 
+@pytest.mark.parametrize("block_size, sweep", [(1, 512), (2, 64)])
+def test_zygmund_seminorm_matches_full_sweep(block_size, sweep):
+    # the full sweep of all 13 x sweep shifts, repeats included
+    from toepasym.approx import _sweep_maxima
+    rng = np.random.default_rng(60 + block_size)
+    g = (tp.zygmund_symbol(0.75, 6, seed=4) if block_size == 1
+         else random_block_symbol(rng, block_size=2, max_offset=4))
+    scales = [np.pi * 2.0 ** (-i) for i in range(13)]
+    hs = np.concatenate([np.linspace(s / sweep, s, sweep) for s in scales])
+    assert len(np.unique(hs)) < len(hs)
+    per_scale = _sweep_maxima(g, 2, hs, 1024).reshape(13, sweep).max(axis=1)
+    best = 0.0
+    for s, omega in zip(scales, per_scale):
+        best = max(best, float(omega) / s**0.6)
+    assert tp.zygmund_seminorm(g, 0.6, 1024, sweep) == best
+
+
 def test_zygmund_seminorm_constant():
     assert tp.zygmund_seminorm(tp.scalar_symbol({0: 2.0}), 1.0) == pytest.approx(0.0, abs=1e-12)
 

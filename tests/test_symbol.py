@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import toepasym as tp
 from conftest import random_block_symbol, random_scalar_symbol
@@ -102,6 +104,50 @@ def test_certified_inverse_singular():
         tp.certified_inverse(tp.scalar_symbol({0: 1.0, 1: 1.0}))
 
 
+@pytest.mark.parametrize("theta_node, blocks", [
+    # a(0) = diag(0, 0.5) exactly: LAPACK reports the singular block
+    (0, {0: np.eye(2), 1: np.diag([-1.0, -0.5])}),
+    # singular at theta = pi only, up to the rounding of the samples
+    (256, {0: np.array([[1.0, 0.3], [0.0, 1.0]]), 1: np.diag([1.0, 0.5])}),
+])
+def test_certified_inverse_singular_block_message(theta_node, blocks):
+    a = tp.LaurentMatrixSeries(2, blocks)
+    m = 512  # the first grid of the refinement
+    sv = np.linalg.svd(a.sample(m).samples, compute_uv=False)[:, -1]
+    assert int(np.argmin(sv)) == theta_node
+    with pytest.raises(tp.SingularSymbol) as info:
+        tp.certified_inverse(a)
+    theta = 2 * np.pi * theta_node / m
+    assert str(info.value) == (
+        f"smallest singular value {sv[theta_node]:.3e} at theta={theta:.6f}")
+
+
+def test_guarded_inverse_certifies_or_falls_back_to_svd():
+    from toepasym.symbol import _guarded_inverse
+    rot = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    samples = np.array([np.diag([1.0, 2.0]), 3e-10 * rot, 2.5e-10 * np.eye(2),
+                        np.array([[1.0, 1e9], [0.0, 1.0]])], dtype=complex)
+    inv, margins = _guarded_inverse(samples[:2])
+    assert margins is None  # 1 / ||A^-1||_F >= 3e-10 / sqrt(2) > 2e-10
+    np.testing.assert_array_equal(inv, np.linalg.inv(samples[:2]))
+    # sigma_min = 2.5e-10 and ~1e-9 exceed 1e-10, but 1 / ||A^-1||_F does
+    # not exceed 2e-10: the exact SVD decides, the inverse is unchanged
+    inv, margins = _guarded_inverse(samples)
+    np.testing.assert_array_equal(inv, np.linalg.inv(samples))
+    np.testing.assert_array_equal(
+        margins, np.linalg.svd(samples, compute_uv=False)[:, -1])
+    assert margins.min() > 1e-10
+    # an exactly singular block: no inverse, its margin is zero
+    inv, margins = _guarded_inverse(np.array([np.eye(2), np.diag([1.0, 0.0])]))
+    assert inv is None and margins[1] == 0.0
+    # 1 / ||A^-1||_F is 3e-10 > 2e-10, but eps cond_F(A) is ~0.7: a
+    # computed inverse that ill-conditioned certifies nothing, the SVD decides
+    ill = np.array([np.diag([1e6, 3e-10])], dtype=complex)
+    inv, margins = _guarded_inverse(ill)
+    np.testing.assert_array_equal(
+        margins, np.linalg.svd(ill, compute_uv=False)[:, -1])
+
+
 def test_certified_inverse_raises_at_grid_cap():
     # 1 - 0.999 t: the inverse decays like 0.999^k, so 2^17 nodes still
     # alias far more than the tolerance
@@ -164,6 +210,83 @@ def test_multiply_associative():
         right = tp.multiply(a, tp.multiply(b, c))
         for k in set(left.support()) | set(right.support()):
             np.testing.assert_allclose(left.block(k), right.block(k), atol=1e-13)
+
+
+def _pairwise_multiply(a, b):
+    """Reference: the convolution one pair of blocks at a time."""
+    out = {}
+    for k1, b1 in a.coeffs.items():
+        for k2, b2 in b.coeffs.items():
+            prod = b1 @ b2
+            out[k1 + k2] = out[k1 + k2] + prod if k1 + k2 in out else prod
+    return tp.LaurentMatrixSeries(a.block_size, out)
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+                     st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def _series_pairs(draw):
+    n = draw(st.integers(1, 3))
+
+    def series():
+        offsets = draw(st.lists(st.integers(-6, 6), unique=True, max_size=6))
+        coeffs = {}
+        for k in offsets:
+            parts = draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
+            re, im = np.reshape(parts, (2, n, n))
+            coeffs[k] = re + 1j * im if draw(st.booleans()) else re
+        return tp.LaurentMatrixSeries(n, coeffs)
+
+    return series(), series()
+
+
+@given(_series_pairs())
+def test_multiply_matches_pairwise_convolution(pair):
+    a, b = pair
+    prod, ref = tp.multiply(a, b), _pairwise_multiply(a, b)
+    assert list(prod.coeffs) == list(ref.coeffs)
+    for k, blk in ref.coeffs.items():
+        np.testing.assert_array_equal(prod.coeffs[k], blk)
+        for part in (np.real, np.imag):
+            np.testing.assert_array_equal(np.signbit(part(prod.coeffs[k])),
+                                          np.signbit(part(blk)))
+
+
+def test_multiply_keeps_negative_zeros(two_block_symbol):
+    # -0.5 r has a -0.0 entry below the diagonal
+    prod = tp.multiply(two_block_symbol, tp.identity_symbol(2))
+    assert np.signbit(prod.block(1)[1, 0].real)
+    assert tp.symbol_to_json(prod) == tp.symbol_to_json(two_block_symbol)
+
+
+@pytest.mark.parametrize("coeffs, error, message", [
+    ({0: np.zeros(3)}, tp.BlockSizeMismatch, "expected 2x2 block, got shape (3,)"),
+    ({0: np.eye(2), 1: np.eye(3)}, tp.BlockSizeMismatch,
+     "expected 2x2 block, got shape (3, 3)"),
+    ({0: [[np.nan, 0.0], [0.0, 1.0]], 1: np.zeros(3)}, ValueError,
+     "symbol blocks must be finite"),
+    ({0: np.eye(2), 1: np.full((2, 2), np.inf)}, ValueError,
+     "symbol blocks must be finite"),
+])
+def test_block_validation_names_first_fault(coeffs, error, message):
+    with pytest.raises(error) as info:
+        tp.LaurentMatrixSeries(2, coeffs)
+    assert str(info.value) == message
+
+
+def test_blocks_stored_read_only_in_order():
+    src = np.eye(2)
+    a = tp.LaurentMatrixSeries(2, {np.int64(2): src, 0: np.zeros((2, 2)),
+                                   -1: [[0.0, -0.0], [1.0, 0.0]]})
+    src[0, 0] = 5.0
+    assert list(a.coeffs) == [2, -1]
+    assert all(type(k) is int for k in a.coeffs)
+    assert a.block(2)[0, 0] == 1.0
+    assert not any(blk.flags.writeable for blk in a.coeffs.values())
+    s = tp.LaurentMatrixSeries(1, {0: 2.0, 1: 0.0, 3: 1j})
+    assert list(s.coeffs) == [0, 3] and s.block(3)[0, 0] == 1j
 
 
 def test_multiply_block_mismatch():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import toepasym as tp
-from toepasym.symbol import _BATCH_SAMPLES
+from toepasym.symbol import _BATCH_SAMPLES, default_grid_size
 
 
 @pytest.fixture
@@ -177,6 +177,120 @@ def test_trace_constant_raises_above_section_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _per_node_trace_constant(a, f, contour):
+    """Reference: trace_constant with every contour node evaluated on its
+    own, the symbol-range guard an exact SVD per node."""
+    from toepasym.symbol import _refine
+    from toepasym.toeplitz import _assemble
+
+    n = a.block_size
+    band = max((k for k in a.coeffs if k > 0), default=0)
+    fvals = f(contour.nodes)
+
+    def step(m_section, prev):
+        m_grid = max(a.grid_size, default_grid_size(2 * m_section))
+        samples = a.sample(m_grid).samples
+        ha = tp.hankel_section(a, band).data
+        eye = np.eye(band * n)
+        j = np.arange(band)
+        idx = -(j[:, None] + j[None, :] + 1)
+        total = 0.0 + 0.0j
+        for lam, weight, fv in zip(contour.nodes, contour.weights, fvals):
+            shifted = samples - lam * np.eye(n)
+            if n == 1:
+                dist = np.min(np.abs(shifted[:, 0, 0]))
+            else:
+                dist = float(np.linalg.svd(shifted, compute_uv=False)[:, -1].min())
+            if dist <= 1e-10:
+                raise tp.SpectrumTooClose(
+                    f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
+            inv = 1.0 / shifted if n == 1 else np.linalg.inv(shifted)
+            inv2 = inv * inv if n == 1 else inv @ inv
+            h1 = _assemble(np.fft.fft(inv, axis=0) / m_grid, idx, 0)
+            h2 = _assemble(np.fft.fft(inv2, axis=0) / m_grid, idx, 0)
+            solved = np.linalg.solve(eye - ha @ h1, -(ha @ h2))
+            total += weight * fv * np.trace(solved)
+        val = complex(total / (2j * np.pi))
+        return val, np.inf if prev is None else abs(val - prev)
+
+    return _refine(step, max(64, band), 2048, 1e-9)
+
+
+def _lacunary_block(gamma, levels, seed):
+    """Hermitian 2x2 lacunary symbol with non-commuting random blocks,
+    smallest eigenvalue at least 1 on the circle."""
+    rng = np.random.default_rng(seed)
+    coeffs, shift = {}, 1.0
+    for j in range(levels + 1):
+        blk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        blk *= 2.0 ** (-gamma * j) / (2.0 * np.linalg.norm(blk, 2))
+        coeffs[1 << j], coeffs[-(1 << j)] = blk, blk.conj().T
+        shift += 2.0 * np.linalg.norm(blk, 2)
+    coeffs[0] = shift * np.eye(2)
+    return tp.LaurentMatrixSeries(2, coeffs)
+
+
+def _hermitian3(seed):
+    rng = np.random.default_rng(seed)
+    coeffs, shift = {}, 1.0
+    for k in (1, 2):
+        blk = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        coeffs[k], coeffs[-k] = blk, blk.conj().T
+        shift += 2.0 * np.linalg.norm(blk, 2)
+    coeffs[0] = shift * np.eye(3)
+    return tp.LaurentMatrixSeries(3, coeffs)
+
+
+def _circle(center, radius, nodes):
+    phis = 2 * np.pi * np.arange(nodes) / nodes
+    return tp.ContourSpec(nodes=center + radius * np.exp(1j * phis),
+                          weights=(2 * np.pi / nodes) * 1j * radius * np.exp(1j * phis),
+                          clearance=0.0, center=center, radius=radius)
+
+
+@pytest.mark.parametrize("name", ["two_block", "lacunary", "hermitian3", "scalar",
+                                  "one_node_left"])
+def test_batched_trace_constant_matches_per_node(name, two_block_symbol, rational_symbol):
+    a = {"two_block": two_block_symbol, "lacunary": _lacunary_block(0.75, 4, 3),
+         "hermitian3": _hermitian3(5), "scalar": rational_symbol,
+         "one_node_left": two_block_symbol}[name]
+    contour = tp.build_contour(tp.estimate_spectrum(a, 64), 0.5, nodes=64)
+    if name == "one_node_left":
+        # at every grid of the refinement the last chunk holds one node
+        band = max(a.coeffs)
+        m_grid = max(a.grid_size, default_grid_size(2 * max(64, band)))
+        per_chunk = _BATCH_SAMPLES // (m_grid * a.block_size**2)
+        contour = _circle(contour.center, contour.radius, per_chunk + 1)
+    for f in (tp.SQUARE, tp.exponential()):
+        assert tp.trace_constant(a, f, contour) == _per_node_trace_constant(a, f, contour)
+
+
+def test_trace_constant_guard_fallback_matches_per_node(two_block_symbol):
+    # scaled by 3e-10, the symbol's smallest singular value on the contour
+    # is above 1e-10 but below twice that times sqrt(2): the Frobenius
+    # bound does not certify it and the exact SVD decides
+    from toepasym.symbol import _guarded_inverse
+    a = tp.LaurentMatrixSeries(2, {k: 3e-10 * blk for k, blk in two_block_symbol.coeffs.items()})
+    spectrum = tp.estimate_spectrum(two_block_symbol, 64)
+    contour = _circle(3e-10 * spectrum.centroid, 3e-10 * (spectrum.max_radius + 0.5), 64)
+    shifted = a.sample(1024).samples - contour.nodes[0] * np.eye(2)
+    inv, margins = _guarded_inverse(shifted)
+    assert margins is not None and margins.min() > 1e-10
+    assert tp.trace_constant(a, tp.SQUARE, contour) == _per_node_trace_constant(
+        a, tp.SQUARE, contour)
+
+
+def test_trace_constant_node_near_range_raises():
+    # a(0) = diag(1.1, 2.1); the second node sits 1e-11 from 1.1
+    a = tp.LaurentMatrixSeries(2, {0: np.diag([1.0, 2.0]), 1: 0.1 * np.eye(2)})
+    contour = tp.ContourSpec(nodes=np.array([3.0 + 0j, 1.1 + 1e-11]),
+                             weights=np.array([1.0 + 0j, 1.0 + 0j]),
+                             clearance=0.0, center=0j, radius=1.0)
+    with pytest.raises(tp.SpectrumTooClose) as info:
+        tp.trace_constant(a, tp.SQUARE, contour)
+    assert str(info.value) == "symbol range within 1.000e-11 of node lambda=1.1+0j"
 
 
 def test_trace_asymptotic_exact_identity(rational_symbol, fixture_contour):
