@@ -17,9 +17,10 @@ import scipy.linalg
 
 from .errors import (IllConditionedSection, NonCanonical, NonZeroWinding,
                      SpectrumTooClose)
-from .symbol import (LaurentMatrixSeries, SymbolGrid, _branch_log, _refine,
-                     _smallest_singular_values, _tail_cutoff, add_constant,
-                     certified_inverse, coefficients_from_samples, multiply)
+from .symbol import (LaurentMatrixSeries, SymbolGrid, _block_maxima, _branch_log,
+                     _refine, _smallest_singular_values, _sum_in_order, _tail_cutoff,
+                     add_constant, certified_inverse, coefficients_from_samples,
+                     multiply)
 from .toeplitz import toeplitz_section
 
 DEFAULT_TOL = 1e-8
@@ -52,20 +53,21 @@ class WHFactors:
 
 def _one_sided(series, side):
     """Zero the wrong-side offsets; return (cleaned, removed mass)."""
-    kept, leak = {}, 0.0
+    kept, removed = {}, []
     for k, blk in series.coeffs.items():
         wrong = k > 0 if side == "minus" else k < 0
         if wrong:
-            leak += float(np.max(np.abs(blk)))
+            removed.append(blk)
         else:
             kept[k] = blk
+    leak = _sum_in_order(_block_maxima(removed, series.block_size))
     return LaurentMatrixSeries(series.block_size, kept), leak
 
 
 def _series_tail_trim(series, tol=1e-14):
     """Drop outermost coefficients whose cumulative mass stays below tol."""
     items = sorted(series.coeffs.items(), key=lambda kv: abs(kv[0]))
-    mass = [float(np.max(np.abs(blk))) for _, blk in items]
+    mass = _block_maxima([blk for _, blk in items], series.block_size)
     total = 0.0
     cut = len(items)
     for i in range(len(items) - 1, -1, -1):
@@ -164,7 +166,8 @@ def _first_column_solve(a, m):
     t = toeplitz_section(a, m).data
     anorm = float(np.linalg.norm(t, 1))
     try:
-        lu, piv = scipy.linalg.lu_factor(t)
+        # toeplitz_section has checked that the entries are finite
+        lu, piv = scipy.linalg.lu_factor(t, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise IllConditionedSection(str(exc)) from exc
     gecon = scipy.linalg.get_lapack_funcs("gecon", (t,))

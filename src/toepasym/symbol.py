@@ -7,8 +7,10 @@ immutable after construction and every operation is a pure function.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +236,20 @@ def zygmund_symbol(gamma, levels, seed=None):
 # ---------------------------------------------------------------------------
 # transforms and arithmetic
 
+def _block_maxima(blocks, n):
+    """Largest entry modulus of each n x n block, as one reduction over
+    the stacked blocks; a list of floats."""
+    if not len(blocks):
+        return []
+    return np.max(np.abs(np.reshape(blocks, (-1, n * n))), axis=1).tolist()
+
+
+def _sum_in_order(values):
+    """The values added one at a time from 0.0, in order (``sum`` adds
+    floats with compensation from Python 3.12 on, ``np.sum`` pairwise)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def coefficients_from_samples(grid, cutoff):
     """Extract coefficients for |k| <= cutoff from grid samples.
 
@@ -248,12 +264,10 @@ def coefficients_from_samples(grid, cutoff):
     hat = np.fft.fft(grid.samples, axis=0) / m
     scale = float(np.max(np.abs(grid.samples))) if grid.samples.size else 0.0
     tol = _NOISE_FACTOR * scale
-    coeffs = {}
-    for k in range(-cutoff, cutoff + 1):
-        blk = hat[k % m]
-        if np.max(np.abs(blk)) > tol:
-            coeffs[k] = blk
-    kept = {k % m for k in range(-cutoff, cutoff + 1)}
+    offsets = range(-cutoff, cutoff + 1)
+    masses = _block_maxima(hat[np.asarray(offsets) % m], grid.block_size)
+    coeffs = {k: hat[k % m] for k, mass in zip(offsets, masses) if mass > tol}
+    kept = {k % m for k in offsets}
     tail_mask = np.ones(m, dtype=bool)
     tail_mask[sorted(kept)] = False
     tail_energy = float(np.sqrt(np.sum(np.abs(hat[tail_mask]) ** 2)))

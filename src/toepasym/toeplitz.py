@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigFailure, NumericallySingularSection, TruncationTooSmall
+from .symbol import _block_maxima, _sum_in_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +132,11 @@ def _correction_sections(b, c, ell, m):
 
 
 def _tail_mass(series, side, beyond):
-    """Sum of max-entry norms of blocks at |offset| > beyond on one side."""
-    total = 0.0
-    for k, blk in series.coeffs.items():
-        if side == "plus" and k > beyond:
-            total += float(np.max(np.abs(blk)))
-        elif side == "minus" and -k > beyond:
-            total += float(np.max(np.abs(blk)))
-    return total
+    """Sum of max-entry norms of blocks at |offset| > beyond on one side,
+    added in the series' order."""
+    sign = 1 if side == "plus" else -1
+    tail = [blk for k, blk in series.coeffs.items() if sign * k > beyond]
+    return _sum_in_order(_block_maxima(tail, series.block_size))
 
 
 def correction_term(b, c, ell, k, m=None, tail_tol=1e-8):
@@ -199,7 +197,8 @@ def _logdet_lu(matrix, rcond_floor=1e-12):
         with warnings.catch_warnings():
             # zero pivots raise NumericallySingularSection below
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(matrix)
+            # the matrix is BlockMatrix data, whose entries are checked finite
+            lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericallySingularSection(str(exc)) from exc
     diag = np.diag(lu)

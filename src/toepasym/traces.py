@@ -13,6 +13,8 @@ avoids branch tracking along the contour.
 """
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,31 +101,118 @@ def estimate_spectrum(a, m=64, interior_grid=25):
     return SpectrumEstimate.from_points(np.concatenate(clouds))
 
 
+def _float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _largest_float(holds):
+    """Largest finite float t >= 0 with holds(t), for a test that holds
+    at 0 and fails beyond some point: bisection over the bit patterns,
+    which the non-negative floats share in order."""
+    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(_float_from_bits(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _float_from_bits(lo)
+
+
+def _cell_coordinates(x, side, span):
+    """floor(x / side) per point, exact, renumbered from 0 so that
+    differences up to span keep their value and larger ones read span + 1."""
+    if float(np.max(np.abs(x))) < side * 2.0**50:
+        k = np.floor_divide(x, side)  # exact below 2^50
+    else:  # the float quotient can miss by one or more: divide the rationals
+        num, den = side.as_integer_ratio()
+        k = np.array([(p * den) // (q * num)
+                      for p, q in map(float.as_integer_ratio, x.tolist())], dtype=object)
+    values, index = np.unique(k, return_inverse=True)
+    steps = np.minimum(np.diff(values), span + 1)
+    return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[index]
+
+
 def _connected(points, threshold):
-    """Single-linkage connectivity of the cloud at the given threshold."""
-    from scipy.sparse.csgraph import connected_components
+    """Single-linkage connectivity of the cloud at the given threshold.
+
+    Two points are linked when dx*dx + dy*dy, evaluated in floating point
+    as cKDTree evaluates it, is at most threshold*threshold: the rule of
+    cKDTree.query_pairs, without listing the pairs.  The points go into
+    square cells of side about threshold / sqrt(3), small enough that any
+    two points of one cell are linked, and a union-find over the occupied
+    cells joins two cells at most `span` (2) apart per axis when
+    cKDTree.count_neighbors finds a linked pair between them, stopping as
+    soon as one component remains.  Memory is linear in the cloud.
+    """
     from scipy.spatial import cKDTree
 
-    xy = np.column_stack([points.real, points.imag])
-    tree = cKDTree(xy)
-    pairs = tree.query_pairs(threshold, output_type="ndarray")
-    from scipy.sparse import coo_matrix
-    n = len(points)
-    if n == 1:
+    threshold = float(threshold)
+    r2 = threshold * threshold
+    if len(points) <= 1 or math.isnan(r2):  # a nan threshold links no pair
+        return len(points) == 1
+    if r2 == math.inf:
         return True
-    data = np.ones(len(pairs), dtype=np.int8)
-    graph = coo_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    ncomp, _ = connected_components(graph, directed=False)
-    return ncomp == 1
+    # two points of a cell: dx*dx + dy*dy <= 2 side*side < r2
+    side = _largest_float(lambda t: 3.0 * (t * t) <= r2)
+    # a linked pair has |dx| and |dy| below the float after reach
+    reach = _largest_float(lambda t: t * t <= r2)
+    span = math.ceil(math.nextafter(reach, math.inf) / side * (1 + 2.0**-40))
+    cx = _cell_coordinates(points.real, side, span)
+    cy = _cell_coordinates(points.imag, side, span) + span
+    width = int(cy.max()) + span + 1
+    cells, cell_of = np.unique(cx * width + cy, return_inverse=True)
+    if len(cells) == 1:
+        return True
+    order = np.argsort(cell_of, kind="stable")
+    xy = np.column_stack([points.real, points.imag])[order]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cell_of))))
+    # neighbour offsets in one half-plane, nearest first
+    offsets = sorted(((dx, dy) for dx in range(span + 1) for dy in range(-span, span + 1)
+                      if dx > 0 or dy > 0), key=lambda o: o[0] ** 2 + o[1] ** 2)
+    first, second = [], []
+    for dx, dy in offsets:
+        target = cells + (dx * width + dy)
+        pos = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+        hit = np.flatnonzero(cells[pos] == target)
+        first.append(hit)
+        second.append(pos[hit])
+
+    parent = list(range(len(cells)))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    trees = {}
+
+    def tree(c):
+        if c not in trees:
+            trees[c] = cKDTree(xy[starts[c]:starts[c + 1]])
+        return trees[c]
+
+    components = len(cells)
+    for a, b in zip(np.concatenate(first).tolist(), np.concatenate(second).tolist()):
+        ra, rb = root(a), root(b)
+        if ra != rb and tree(a).count_neighbors(tree(b), threshold) > 0:
+            parent[ra] = rb
+            components -= 1
+            if components == 1:
+                return True
+    return False
 
 
 def build_contour(spectrum, margin, nodes=256):
     """Circle around the spectrum estimate with trapezoid quadrature.
 
     Centered at the cloud centroid with radius max distance + margin.
-    Disconnected clouds (components separated by more than 4 margin) are
-    rejected rather than handled with several components, as is any
-    construction whose verified clearance falls below margin / 2.
+    Disconnected clouds are rejected rather than handled with several
+    components: linking every two points at most 4 margin apart must
+    join the whole cloud (single linkage, decided by grid bucketing and a
+    union-find in memory linear in the cloud).  So is any construction
+    whose verified clearance falls below margin / 2.
     """
     if margin <= 0:
         raise ValueError("margin must be positive")

@@ -133,3 +133,72 @@ def test_sweep_far_contour_neumann_regime(rational_symbol):
     assert sweep.continuity_diagnostic < 0.1
     for w in sweep.factors:
         assert _sup_diff(w.u_minus, tp.identity_symbol()) < 0.1
+
+
+def _reduction_series():
+    """Scalar, 2x2 and 3x3 series, one with 61 blocks spanning 15 decades
+    (where pairwise or compensated summation changes the last bits), one
+    holding zero and -0.0 entries, and an empty one."""
+    rng = np.random.default_rng(11)
+    many = {k: 10.0 ** rng.uniform(-15, 0) * (rng.standard_normal((2, 2))
+                                              + 1j * rng.standard_normal((2, 2)))
+            for k in range(-30, 31)}
+    r = np.array([[1.0, 0.2], [-0.0, 1.0]])
+    from conftest import random_block_symbol, random_scalar_symbol
+    return [tp.scalar_symbol({0: 1.25, 1: -0.5, -1: -0.5}),
+            random_scalar_symbol(rng, max_offset=9),
+            tp.LaurentMatrixSeries(2, {0: 1.25 * np.eye(2), 1: -0.5 * r, -1: -0.5 * r.T,
+                                       2: np.zeros((2, 2)) + 1e-17}),
+            random_block_symbol(rng, block_size=3, max_offset=5),
+            tp.LaurentMatrixSeries(2, many),
+            tp.LaurentMatrixSeries(2, {})]
+
+
+@pytest.mark.parametrize("series", _reduction_series())
+def test_stacked_block_reductions_match_per_block_loops(series):
+    """_one_sided, _series_tail_trim, _tail_mass and coefficients_from_samples
+    against the per-block loops they replace, compared with ==."""
+    from toepasym.factor import _one_sided, _series_tail_trim
+    from toepasym.toeplitz import _tail_mass
+
+    def same(x, y):
+        assert list(x.coeffs) == list(y.coeffs)
+        for k in x.coeffs:
+            np.testing.assert_array_equal(x.coeffs[k], y.coeffs[k])
+
+    items = list(series.coeffs.items())
+    for side in ("minus", "plus"):
+        kept, leak = {}, 0.0
+        for k, blk in items:
+            if (k > 0 if side == "minus" else k < 0):
+                leak += float(np.max(np.abs(blk)))
+            else:
+                kept[k] = blk
+        cleaned, got = _one_sided(series, side)
+        assert got == leak
+        same(cleaned, tp.LaurentMatrixSeries(series.block_size, kept))
+        for beyond in (-1, 0, 2, 7):
+            total = 0.0
+            for k, blk in items:
+                if (k if side == "plus" else -k) > beyond:
+                    total += float(np.max(np.abs(blk)))
+            assert _tail_mass(series, side, beyond) == total
+    ordered = sorted(items, key=lambda kv: abs(kv[0]))
+    for tol in (1e-14, 1e-6, 0.3, 1e3):
+        total, cut = 0.0, len(ordered)
+        for i in range(len(ordered) - 1, -1, -1):
+            total += float(np.max(np.abs(ordered[i][1])))
+            if total > tol:
+                break
+            cut = i
+        same(_series_tail_trim(series, tol),
+             tp.LaurentMatrixSeries(series.block_size, dict(ordered[:cut])))
+    grid = series.sample()
+    m = grid.grid_size
+    hat = np.fft.fft(grid.samples, axis=0) / m
+    tol = 64 * np.finfo(float).eps * (float(np.max(np.abs(grid.samples))) if m else 0.0)
+    for cutoff in (0, 3, m // 2 - 1):
+        kept = {k: hat[k % m] for k in range(-cutoff, cutoff + 1)
+                if np.max(np.abs(hat[k % m])) > tol}
+        got, _ = tp.coefficients_from_samples(grid, cutoff)
+        same(got, tp.LaurentMatrixSeries(series.block_size, kept))

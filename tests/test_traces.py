@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.symbol import _BATCH_SAMPLES, default_grid_size
@@ -116,6 +119,107 @@ def test_build_contour_disconnected_rejected():
     s = tp.SpectrumEstimate.from_points([0.0, 0.1, 10.0, 10.1])
     with pytest.raises(tp.ContourTooTight):
         tp.build_contour(s, 0.5)
+
+
+def _all_pairs_connected(points, threshold):
+    """Reference: the graph of every pair within the threshold
+    (cKDTree.query_pairs) and its connected components."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    n = len(points)
+    if n == 1:
+        return True
+    xy = np.column_stack([points.real, points.imag])
+    pairs = cKDTree(xy).query_pairs(threshold, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)[0] == 1
+
+
+_THRESHOLDS = [1e-300, 1e-160, 1e-9, 0.37, 1.0, 2.0, 3e5]
+
+
+@st.composite
+def _clouds(draw):
+    """Clouds on lattices of fractions of the threshold (exact threshold
+    distances, cell boundaries), or drawn within a few thresholds, with
+    duplicates, a far-off centre, and imaginary parts at rounding level."""
+    from toepasym.traces import _largest_float
+
+    threshold = draw(st.sampled_from(_THRESHOLDS))
+    n = draw(st.integers(1, 30))
+    r2 = threshold * threshold
+    side = _largest_float(lambda t: 3.0 * (t * t) <= r2)
+    reach = _largest_float(lambda t: t * t <= r2)
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([threshold, threshold / 2, side, 2 * side, reach,
+                                     math.nextafter(threshold, math.inf)]))
+        ij = np.array(draw(st.lists(st.integers(-4, 4), min_size=2 * n, max_size=2 * n)))
+        x, y = step * ij[:n], step * ij[n:]
+    else:
+        box = threshold * draw(st.sampled_from([0.5, 2.0, 6.0]))
+        coords = st.floats(-box, box, allow_nan=False)
+        x = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+        y = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y = 1e-16 * np.array(draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n)))
+    points = draw(st.sampled_from([0.0, 1.0, -3.7, 1e6 + 2.5j])) + x + 1j * y
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    return np.concatenate([points, points[repeats]]), threshold
+
+
+def _clusters_apart(gap):
+    cluster = np.array([0.0, 0.1, 0.05j, 0.1 + 0.05j])
+    return np.concatenate([cluster, cluster + 0.1 + gap])
+
+
+@given(_clouds())
+@example((np.array([0.25]), 1.0))  # a single point
+@example((np.array([0.0, 0.0, 0.0]), 1e-300))  # duplicates
+@example((np.array([0.0, 1.0, 2.0, 2.0 + 1j]), 1.0))  # exactly a threshold apart
+@example((_clusters_apart(1.0), 1.0))
+@example((_clusters_apart(math.nextafter(1.0, 2.0)), 1.0))  # just over a threshold
+@example((np.linspace(0.0, 1.0, 9) + 1e-16j * np.sin(np.arange(9)), 0.125))
+@example((np.linspace(0.0, 1.0, 9) + 1e-16j * np.sin(np.arange(9)), 0.12))
+@example((np.array([0.0, 1e-200, 1.0]), 1e-300))  # unit span
+@example((np.array([0.0, 1e-200, 2e-200]), 1e-300))  # squares below the float range
+@example((1e-162 * np.arange(6), 1e-300))  # ... over several cells
+@example((np.array([1e150, math.nextafter(1e150, math.inf)]), 1e-300))  # x / side overflows
+@example((np.array([0.0, 0.8 + 0.8j]), 1.0))  # one cell of side 0.8 would hold both
+def test_connected_matches_all_pairs(cloud):
+    from toepasym.traces import _connected
+
+    points, threshold = cloud
+    assert _connected(points, threshold) == _all_pairs_connected(points, threshold)
+
+
+@pytest.mark.parametrize("name", ["fixture", "rational", "zygmund"])
+def test_connected_matches_all_pairs_on_spectra(name, rational_symbol, two_block_symbol):
+    from toepasym.traces import _connected
+
+    a = {"fixture": two_block_symbol, "rational": rational_symbol,
+         "zygmund": tp.zygmund_symbol(0.75, 5, seed=2)}[name]
+    points = tp.estimate_spectrum(a).points
+    for threshold in (2.0, 0.5, 0.05, 0.01, 1e-3):
+        assert _connected(points, threshold) == _all_pairs_connected(points, threshold)
+
+
+def test_connected_memory_linear():
+    # 2000 points within one threshold: about 2M linked pairs, 30 MB as a list
+    from toepasym.traces import _connected
+
+    rng = np.random.default_rng(5)
+    points = 0.5 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    assert _connected(points[:10], 1.0)  # imports outside the traced call
+    tracemalloc.start()
+    try:
+        assert _connected(points, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trace_mean(rational_symbol):
