@@ -10,6 +10,11 @@ pinned by matching the order-1 case: log E_tilde = log E - lim of the
 correction sum.  For finitely supported b and c the limit is a finite sum
 (every correction matrix vanishes once the index passes the coefficient
 support), so it is the sum of the traces up to that support.
+
+The correction traces of every order come from one tail-sum pass over
+the index, from the top of the support S of b and c down; for p <= 3 it
+takes O(S^2 N^3) time and O(S N^2) memory.  toeplitz.correction_term,
+built from dense Hankel sections, is the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -17,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonZeroWinding
+from .errors import NoConvergence
 from .factor import canonical_wiener_hopf, correction_symbols
 from .fitting import fit_decay
-from .symbol import _branch_log, _refine, certified_inverse, reverse
-from .toeplitz import (_correction_sections, _correction_value, hankel_section,
-                       log_det_direct, log_det_scan)
+from .symbol import _refine, _zero_winding_log, certified_inverse, reverse
+from .toeplitz import hankel_section, log_det_scan
 
 
 def log_geometric_mean(a):
@@ -37,11 +41,7 @@ def log_geometric_mean(a):
     def step(m, prev):
         samples = a.sample(m).samples
         det = samples[:, 0, 0] if a.block_size == 1 else np.linalg.det(samples)
-        logs, total, _ = _branch_log(det)
-        w = int(round(total / (2 * np.pi)))
-        if w != 0:
-            raise NonZeroWinding(f"winding number {w} != 0")
-        val = complex(np.mean(logs))
+        val = complex(np.mean(_zero_winding_log(det)))
         return val, np.inf if prev is None else abs(val - prev)
 
     return _refine(step, max(a.grid_size, 512), 1 << 17, 1e-13)
@@ -86,11 +86,7 @@ def strong_szego_series(a):
         raise ValueError("series oracle requires a scalar symbol")
 
     def step(m, prev):
-        vals = a.sample(m).samples[:, 0, 0]
-        logs, total, _ = _branch_log(vals)
-        if int(round(total / (2 * np.pi))) != 0:
-            raise NonZeroWinding("winding number != 0")
-        lhat = np.fft.fft(logs) / m
+        lhat = np.fft.fft(_zero_winding_log(a.sample(m).samples[:, 0, 0])) / m
         ks = np.arange(1, m // 2)
         val = complex(np.sum(ks * lhat[ks] * lhat[-ks % m]))
         return val, np.inf if prev is None else abs(val - prev)
@@ -122,39 +118,53 @@ class ExpansionReport:
 def _correction_trace_series(b, c, p, upto):
     """Per-index traces t_ell of the order-p correction bracket.
 
-    t_ell = tr sum_{j=1}^{p-1} (1/j) (sum_{k=0}^{p-j-1} G_{ell,k})^j,
-    returned for ell = 1..upto.  Entries vanish once ell passes the
-    coefficient support of b (positive side) and c (negative side).
+    t_ell = tr sum_{j=1}^{p-1} (1/j) (sum_{k=0}^{p-j-1} G_{ell,k})^j for
+    ell = 1..upto, with G_{ell,k} = sum_{j,j'>ell} c_{-j} [(H(b) H(c~))^k]_{jj'} b_{j'}.
+    One pass from the top of the support down adds the j = ell+1 term to
+    the tails G_{ell,0} = sum_{j>ell} c_{-j} b_j (its trace one tr(c_{-j} b_j)
+    at a time), X_ell(i) = sum_{j>ell} c_{-j} b_{j+1+i} and
+    Y_ell(i) = sum_{j>ell} c_{-(j+1+i)} b_j, so that
+    G_{ell,k} = sum_i X_ell(i) [(H(c~) P_ell H(b))^{k-1} Y_ell](i), where
+    P_ell keeps the indices > ell.  For p <= 3 this takes O(S^2 N^3) time
+    and O(S N^2) memory in the support S of b and c.  Entries vanish once
+    ell passes the support of b (positive side) or c (negative side).
     """
-    if p < 2:
-        return np.zeros(max(upto, 0), dtype=complex)
+    out = np.zeros(max(upto, 0), dtype=complex)
     s_b = max((k for k in b.coeffs if k > 0), default=0)
     s_c = max((-k for k in c.coeffs if k < 0), default=0)
     live = min(s_b, s_c)  # G_{ell,k} = 0 for ell >= live
-    out = np.zeros(upto, dtype=complex)
-    if live <= 1:
+    if p < 2 or live <= 1:
         return out
-    if p == 2:
-        # t_ell = tr G_{ell,0} = sum_{j>ell} tr(c_{-j} b_j), one reverse cumsum
-        prods = np.zeros(live + 1, dtype=complex)
-        for j in range(1, live + 1):
-            bb = b.coeffs.get(j)
-            cc = c.coeffs.get(-j)
-            if bb is not None and cc is not None:
-                prods[j] = np.trace(cc @ bb)
-        tails = np.cumsum(prods[::-1])[::-1]
-        for ell in range(1, min(upto, live) + 1):
-            out[ell - 1] = tails[ell + 1] if ell + 1 <= live else 0.0
-        return out
-    for ell in range(1, min(upto, live - 1) + 1):
-        m = max(max(s_b, s_c), ell + 9)
-        sections = _correction_sections(b, c, ell, m)
-        terms = [_correction_value(b, c, ell, k, m, sections).value
-                 for k in range(p - 1)]
-        t = 0.0 + 0.0j
-        for j in range(1, p):
-            gsum = np.sum(terms[: p - j], axis=0)
-            t += np.trace(np.linalg.matrix_power(gsum, j)) / j
+    n = b.block_size
+    zero = np.zeros((n, n), dtype=complex)
+    bt = np.array([b.coeffs.get(j, zero) for j in range(2 * live)])  # b_j
+    ct = np.array([c.coeffs.get(-j, zero) for j in range(2 * live)])  # c_{-j}
+    size = live - 2  # X_ell(i) Y_ell(i) = 0 for i > live - 3
+    x = np.zeros((size, n, n), dtype=complex)
+    y = np.zeros((size, n, n), dtype=complex)
+    g0, tr0 = zero, 0j
+    for ell in range(live - 1, 0, -1):
+        j = ell + 1
+        prod = ct[j] @ bt[j]
+        tr0 = tr0 + np.trace(prod)
+        if p > 2:
+            g0 = g0 + prod
+            x += ct[j] @ bt[j + 1:j + 1 + size]
+            y += ct[j + 1:j + 1 + size] @ bt[j]
+        if ell > upto:
+            continue
+        gs, v = [g0], y
+        for k in range(1, p - 1):
+            if k > 1:  # v <- H(c~) P_ell H(b) v
+                hankel = np.arange(j, live)[:, None] + 1 + np.arange(size)
+                hv = np.einsum("rsab,sbc->rac", bt[hankel], v)
+                v = np.einsum("rsab,rbc->sac", ct[hankel], hv)
+            gs.append(np.sum(x @ v, axis=0))
+        t = tr0
+        for g in gs[1:]:
+            t = t + np.trace(g)
+        for power in range(2, p):
+            t = t + np.trace(np.linalg.matrix_power(sum(gs[:p - power]), power)) / power
         out[ell - 1] = t
     return out
 
@@ -179,17 +189,7 @@ def logdet_expansion(a, n, p=1, factors=None):
     ``factors`` (a WHFactors) is required only for p >= 2; when omitted it
     is computed by the canonical factorization of a.
     """
-    if n < 0 or p < 1:
-        raise ValueError("need n >= 0 and p >= 1")
-    log_g, log_e_tilde, traces = _expansion_pieces(a, p, factors, n)
-    corr = complex(np.sum(traces[:n]))
-    log_g_term = (n + 1) * log_g
-    predicted = log_g_term + corr + log_e_tilde
-    direct = log_det_direct(a, n)
-    return ExpansionReport(n=int(n), p=int(p), log_G_term=log_g_term,
-                           correction_sum=corr, log_E_constant=log_e_tilde,
-                           predicted=predicted, direct=direct,
-                           residual=direct - predicted)
+    return logdet_expansion_scan(a, [n], p, factors)[0]
 
 
 def logdet_expansion_scan(a, n_grid, p=1, factors=None):
@@ -202,12 +202,14 @@ def logdet_expansion_scan(a, n_grid, p=1, factors=None):
     ns = sorted(int(n) for n in n_grid)
     if not ns:
         raise ValueError("empty n grid")
+    if ns[0] < 0 or p < 1:
+        raise ValueError("need n >= 0 and p >= 1")
     log_g, log_e_tilde, traces = _expansion_pieces(a, p, factors, ns[-1])
     partial = np.concatenate(([0.0], np.cumsum(traces)))
     directs = log_det_scan(a, ns)
     reports = []
     for n, direct in zip(ns, directs):
-        corr = complex(partial[n]) if n < len(partial) else complex(partial[-1])
+        corr = complex(partial[n])
         log_g_term = (n + 1) * log_g
         predicted = log_g_term + corr + log_e_tilde
         reports.append(ExpansionReport(n=n, p=int(p), log_G_term=log_g_term,

@@ -377,7 +377,7 @@ def main(argv=None):
     except ToepasymError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"ConfigInvalid: {exc}", file=sys.stderr)
         return ConfigInvalid.exit_code
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (IllConditionedSection, NonCanonical, NonZeroWinding,
-                     SpectrumTooClose)
-from .symbol import (LaurentMatrixSeries, SymbolGrid, _block_maxima, _branch_log,
-                     _refine, _smallest_singular_values, _sum_in_order, _tail_cutoff,
-                     add_constant, certified_inverse, coefficients_from_samples,
-                     multiply)
+from .errors import IllConditionedSection, NonCanonical, SpectrumTooClose
+from .symbol import (LaurentMatrixSeries, SymbolGrid, _block_maxima, _refine,
+                     _smallest_singular_values, _sum_in_order, _tail_cutoff,
+                     _zero_winding_log, add_constant, certified_inverse,
+                     coefficients_from_samples, multiply)
 from .toeplitz import toeplitz_section
 
 DEFAULT_TOL = 1e-8
@@ -119,12 +118,7 @@ def scalar_wiener_hopf(a, cutoff=None):
         raise ValueError("scalar path requires block size one")
 
     def step(m, prev):
-        vals = a.sample(m).samples[:, 0, 0]
-        logs, total, _ = _branch_log(vals)
-        w = int(round(total / (2 * np.pi)))
-        if w != 0:
-            raise NonZeroWinding(f"winding number {w} != 0")
-        ghat = np.fft.fft(logs) / m
+        ghat = np.fft.fft(_zero_winding_log(a.sample(m).samples[:, 0, 0])) / m
         alias = float(np.abs(ghat[m // 4: 3 * m // 4]).sum())
         return ghat, alias / max(1.0, float(np.abs(ghat).max()))
 

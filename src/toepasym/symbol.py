@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BlockSizeMismatch, CutoffTooLarge, GridTooCoarse,
-                     NoConvergence, SingularSymbol)
+                     NoConvergence, NonZeroWinding, SingularSymbol)
 
 #: blocks whose largest entry is below this times the data scale are dropped
 #: when extracting coefficients from samples (FFT round-off, not signal)
@@ -482,20 +482,23 @@ def krein_norm(a):
                      for k, blk in a.coeffs.items()))
 
 
-def _branch_log(values, rel_floor=1e-12):
-    """Branch-continuous log along a closed sampled curve.
+def _zero_winding_log(values, rel_floor=1e-12):
+    """Branch-continuous log samples along a closed sampled curve.
 
-    Returns (log samples, total phase increment, max phase step).  The
-    phase is accumulated from consecutive ratios so each step stays in
-    (-pi, pi]; the total is 2 pi times the winding number when steps are
-    small.  Raises SingularSymbol when values approach zero.
+    The phase is accumulated from consecutive ratios so each step stays in
+    (-pi, pi]; the total increment, rounded to a multiple of 2 pi, is the
+    winding number.  Raises SingularSymbol when values approach zero and
+    NonZeroWinding when the winding number is not zero.
     """
     absv = np.abs(values)
     if _singular_rows(absv, rel_floor):
         _raise_singular(absv)
     steps = np.angle(np.roll(values, -1) / values)
+    w = int(round(float(steps.sum()) / (2 * np.pi)))
+    if w != 0:
+        raise NonZeroWinding(f"winding number {w} != 0")
     phase = np.angle(values[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    return np.log(absv) + 1j * phase, float(steps.sum()), float(np.abs(steps).max())
+    return np.log(absv) + 1j * phase
 
 
 def _singular_rows(absv, rel_floor):

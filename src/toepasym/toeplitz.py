@@ -145,7 +145,8 @@ def correction_term(b, c, ell, k, m=None, tail_tol=1e-8):
     Composes the row section of the zeroth Toeplitz row of c, the k-th
     power of the Hankel-product section restricted to indices > ell, and
     the column section of the zeroth Toeplitz column of b.  The truncation
-    error bound comes from the coefficient tail mass beyond index m.
+    error bound comes from the coefficient tail mass beyond index m.  This
+    dense route is the reference for the expansion's tail-sum traces.
     """
     if b.block_size != c.block_size:
         raise ValueError("b and c must share a block size")
@@ -155,13 +156,7 @@ def correction_term(b, c, ell, k, m=None, tail_tol=1e-8):
         m = max(4 * ell, ell + 32)
     if m <= ell + 8:
         raise ValueError(f"truncation m={m} must exceed ell+8={ell + 8}")
-    return _correction_value(b, c, ell, k, m, _correction_sections(b, c, ell, m),
-                             tail_tol)
-
-
-def _correction_value(b, c, ell, k, m, sections, tail_tol=1e-8):
-    """correction_term from prebuilt _correction_sections(b, c, ell, m)."""
-    row, inner, col = sections
+    row, inner, col = _correction_sections(b, c, ell, m)
     power = np.linalg.matrix_power(inner, k) if k else np.eye(inner.shape[0])
     value = row @ power @ col
     tail_b = _tail_mass(b, "plus", m)

@@ -29,11 +29,16 @@ def rational_contour(rational):
 
 
 @pytest.fixture(scope="module")
-def zyg75_scans():
+def zyg75():
     # bandwidth 2^10 = 1024 keeps the whole n grid inside the pre-asymptotic
     # Hoelder regime (criteria 3 and 4)
     z = tp.zygmund_symbol(0.75, 10)
-    w = tp.scalar_wiener_hopf(z)
+    return z, tp.scalar_wiener_hopf(z)
+
+
+@pytest.fixture(scope="module")
+def zyg75_scans(zyg75):
+    z, w = zyg75
     fit1 = tp.logdet_remainder_scan(z, GRID, p=1, factors=w)
     fit2 = tp.logdet_remainder_scan(z, GRID, p=2, factors=w)
     return fit1, fit2
@@ -77,6 +82,19 @@ def test_criterion_04_order_improvement(zyg75_scans):
     _report(4, gap >= 0.5,
             f"order-2 slope gain {gap:.3f} >= 0.5 "
             f"(p=1 slope {fit1.slope:.3f}, p=2 slope {fit2.slope:.3f})")
+
+
+def test_criterion_04_order3_residuals(zyg75):
+    # order 3 improves on order 2 at every n where order 2 is above the
+    # log det floor; order 3 reaches the 1e-13 floor by n = 64, so no
+    # slope gain is asserted
+    z, w = zyg75
+    r2 = [abs(r.residual) for r in tp.logdet_expansion_scan(z, GRID, p=2, factors=w)]
+    r3 = [abs(r.residual) for r in tp.logdet_expansion_scan(z, GRID, p=3, factors=w)]
+    worse = [n for n, e2, e3 in zip(GRID, r2, r3) if e2 > 1e-11 and not e3 < e2]
+    _report(4, not worse,
+            "order-3 residual below order-2 wherever order 2 exceeds 1e-11: "
+            + ", ".join(f"n={n} {e3:.2e} < {e2:.2e}" for n, e2, e3 in zip(GRID, r2, r3)))
 
 
 def test_criterion_05_widom_exactness(rational, rational_contour):

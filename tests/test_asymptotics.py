@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import toepasym as tp
+from toepasym.asymptotics import _correction_trace_series
+from conftest import random_block_symbol
 
 
 def test_geometric_mean_constant():
@@ -33,6 +35,13 @@ def test_geometric_mean_homogeneity():
 def test_geometric_mean_nonzero_winding():
     with pytest.raises(tp.NonZeroWinding):
         tp.geometric_mean(tp.scalar_symbol({1: 1.0}))
+
+
+@pytest.mark.parametrize("fn", [tp.geometric_mean, tp.strong_szego_series,
+                                tp.scalar_wiener_hopf])
+def test_nonzero_winding_message_names_winding_number(fn):
+    with pytest.raises(tp.NonZeroWinding, match=r"winding number -2 != 0"):
+        fn(tp.scalar_symbol({-2: 1.0, 0: 0.1}))
 
 
 def test_szego_constant_identity():
@@ -112,3 +121,82 @@ def test_remainder_scan_zygmund_band():
     z = tp.zygmund_symbol(0.75, 11)
     fit = tp.logdet_remainder_scan(z, [8, 16, 32, 64, 128, 256, 512], p=1)
     assert -(2 * 0.75 - 1) - 0.3 <= fit.slope < 0
+
+
+def test_expansion_rejects_bad_order_and_n(rational_symbol):
+    for call in (lambda: tp.logdet_expansion_scan(rational_symbol, [4, 8], p=0),
+                 lambda: tp.logdet_expansion_scan(rational_symbol, [-1, 8], p=1),
+                 lambda: tp.logdet_expansion(rational_symbol, 8, p=-2),
+                 lambda: tp.logdet_remainder_scan(rational_symbol, [4, 8, 16, 32], p=0)):
+        with pytest.raises(ValueError, match="need n >= 0 and p >= 1"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# correction traces: the tail-sum pass against the dense correction_term route
+
+def _mismatch(name, rational_symbol, two_block_symbol):
+    if name == "random":
+        # short supports, no decay: every tail index carries weight
+        rng = np.random.default_rng(4)
+        return random_block_symbol(rng, max_offset=5), random_block_symbol(rng, max_offset=6)
+    a = {"rational": rational_symbol, "zygmund": tp.zygmund_symbol(0.75, 4, seed=1),
+         "two_block": two_block_symbol}[name]
+    return tp.correction_symbols(tp.canonical_wiener_hopf(a))
+
+
+def _support(b, c):
+    return max(max((k for k in b.coeffs if k > 0), default=0),
+               max((-k for k in c.coeffs if k < 0), default=0))
+
+
+def _dense_traces(b, c, p, upto):
+    """t_ell from dense correction_term sections, m = max(support, ell + 9)."""
+    out = np.zeros(upto, dtype=complex)
+    for ell in range(1, upto + 1):
+        m = max(_support(b, c), ell + 9)
+        g = [tp.correction_term(b, c, ell, k, m=m).value for k in range(p - 1)]
+        out[ell - 1] = sum(np.trace(np.linalg.matrix_power(sum(g[:p - j]), j)) / j
+                           for j in range(1, p))
+    return out
+
+
+def _cumsum_traces(b, c, upto):
+    """Order-2 traces t_ell = sum_{j>ell} tr(c_{-j} b_j) as one reverse cumsum."""
+    s_b = max((k for k in b.coeffs if k > 0), default=0)
+    s_c = max((-k for k in c.coeffs if k < 0), default=0)
+    live = min(s_b, s_c)
+    out = np.zeros(upto, dtype=complex)
+    if live <= 1:
+        return out
+    prods = np.zeros(live + 1, dtype=complex)
+    for j in range(1, live + 1):
+        bb, cc = b.coeffs.get(j), c.coeffs.get(-j)
+        if bb is not None and cc is not None:
+            prods[j] = np.trace(cc @ bb)
+    tails = np.cumsum(prods[::-1])[::-1]
+    for ell in range(1, min(upto, live) + 1):
+        out[ell - 1] = tails[ell + 1] if ell + 1 <= live else 0.0
+    return out
+
+
+@pytest.mark.parametrize("name", ["rational", "zygmund", "two_block", "random"])
+def test_correction_traces_match_dense_sections(name, rational_symbol, two_block_symbol):
+    b, c = _mismatch(name, rational_symbol, two_block_symbol)
+    upto = _support(b, c) + 2
+    for p in (3, 4):
+        ref = _dense_traces(b, c, p, upto)
+        got = _correction_trace_series(b, c, p, upto)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref))), p
+        # a shorter request returns the head of the same series
+        assert np.array_equal(_correction_trace_series(b, c, p, 3), got[:3])
+
+
+@pytest.mark.parametrize("name", ["rational", "zygmund", "two_block", "random"])
+def test_order2_traces_equal_reverse_cumsum(name, rational_symbol, two_block_symbol):
+    b, c = _mismatch(name, rational_symbol, two_block_symbol)
+    for upto in (1, 5, _support(b, c) + 2):
+        got = _correction_trace_series(b, c, 2, upto)
+        ref = _cumsum_traces(b, c, upto)
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()  # signs of zeros too

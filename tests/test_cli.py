@@ -163,3 +163,34 @@ def test_cli_error_mapping(tmp_path, capsys):
                            str(tmp_path / "missing.json"),
                            "--n-min", "0", "--n-max", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["widom-trace", "--f", "square", "--n-grid", "4:16:geometric", "--nodes", "100"],
+     "power of two"),
+    (["widom-trace", "--f", "square", "--n-grid", "4:16:geometric", "--margin", "-1"],
+     "margin must be positive"),
+    (["approx-scan", "--gamma", "1.0", "--n-grid", "0:8:linear"], "degree"),
+    (["expand", "--p", "0", "--n-grid", "4:16:geometric"], "p >= 1"),
+])
+def test_out_of_range_values_exit_config_invalid(tmp_path, capsys, argv, detail):
+    sym = tmp_path / "s.json"
+    run_cli(capsys, "gen-symbol", "--rational", "0.5", "-o", str(sym))
+    outputs = ["-o", str(tmp_path / "out"), *(["--fit-out", str(tmp_path / "fit")]
+                                             if argv[0] == "widom-trace" else [])]
+    code, out, err = run_cli(capsys, argv[0], "--symbol", str(sym), *argv[1:], *outputs)
+    assert code == tp.ConfigInvalid.exit_code
+    assert err.startswith("ConfigInvalid: ") and detail in err
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_symbol_file_with_nan_exits_config_invalid(tmp_path, capsys):
+    sym = tmp_path / "s.json"
+    run_cli(capsys, "gen-symbol", "--rational", "0.5", "-o", str(sym))
+    data = json.loads(sym.read_text())
+    data["coeffs"][0]["re"] = [[float("nan")]]
+    sym.write_text(json.dumps(data))  # written as the JSON extension NaN
+    code, _, err = run_cli(capsys, "logdet-scan", "--symbol", str(sym),
+                           "--n-min", "0", "--n-max", "2")
+    assert code == tp.ConfigInvalid.exit_code
+    assert err == "ConfigInvalid: symbol blocks must be finite\n"

@@ -9,9 +9,13 @@ digits).  After an intended change of the outputs, regenerate the
 copies with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which rewrites only the files whose bytes changed and prints, for each,
+the largest absolute change of every CSV column or JSON number.
 """
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -85,13 +89,56 @@ def test_cli_outputs_match_golden(tmp_path):
             assert data == (GOLDEN / name).read_bytes(), (argv, name)
 
 
+def _numbers(name, data):
+    """Label -> list of numbers: CSV columns, or JSON numbers by path."""
+    text = data.decode("ascii")
+    if name.endswith(".csv"):
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        return {col: [float(row[i]) for row in rows] for i, col in enumerate(header)}
+    out = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, f"{path}.{k}" if path else k)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, f"{path}[{i}]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out[path] = [float(node)]
+    walk(json.loads(text), "")
+    return out
+
+
+def _changes(name, old, new):
+    """Lines naming the largest absolute change per column or number."""
+    before, after = _numbers(name, old), _numbers(name, new)
+    if before.keys() != after.keys():
+        return [f"  labels differ: {sorted(before.keys() ^ after.keys())}"]
+    lines = []
+    for label, values in after.items():
+        if len(values) != len(before[label]):
+            lines.append(f"  {label}: {len(before[label])} -> {len(values)} values")
+        elif name.endswith(".csv") or values != before[label]:
+            change = max((abs(x - y) for x, y in zip(values, before[label])), default=0.0)
+            lines.append(f"  {label}: {change:.3g}")
+    return lines
+
+
 def _regenerate():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for argv, code, stderr, outputs in _run_all(tmp):
             print(code, " ".join(argv), stderr.strip())
             for name, data in outputs.items():
-                (GOLDEN / name).write_bytes(data)
+                path = GOLDEN / name
+                old = path.read_bytes() if path.exists() else None
+                if data == old:
+                    continue
+                print(f"rewrote {name}" + ("" if old else " (new)"))
+                if old:
+                    print("\n".join(_changes(name, old, data)))
+                path.write_bytes(data)
 
 
 if __name__ == "__main__":
