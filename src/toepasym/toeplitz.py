@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EigFailure, NumericallySingularSection, TruncationTooSmall
 from .symbol import _block_maxima, _sum_in_order
@@ -70,14 +71,20 @@ def _assemble(table, idx, lo):
     return blocks.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
 
 
+def _window_matrix(windows):
+    """Block matrix whose (j, k) block is windows[j, :, :, k], for a
+    window view of an offset table: the reshape is the only copy."""
+    rows, n, _, cols = windows.shape
+    return windows.transpose(0, 1, 3, 2).reshape(rows * n, cols * n)
+
+
 def toeplitz_section(a, n):
     """(n+1) x (n+1) block matrix with block (j, k) = a_{j-k}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = _offset_table(a, -n, n)
-    j = np.arange(n + 1)
-    idx = j[:, None] - j[None, :]
-    return BlockMatrix(_assemble(table, idx, -n), a.block_size)
+    # window j holds offsets j-n..j, reversed so that k runs from offset j down
+    windows = sliding_window_view(_offset_table(a, -n, n), n + 1, axis=0)[..., ::-1]
+    return BlockMatrix(_window_matrix(windows), a.block_size)
 
 
 def hankel_section(a, m):
@@ -87,10 +94,8 @@ def hankel_section(a, m):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    table = _offset_table(a, 1, 2 * m - 1)
-    j = np.arange(m)
-    idx = j[:, None] + j[None, :] + 1
-    return BlockMatrix(_assemble(table, idx, 1), a.block_size)
+    windows = sliding_window_view(_offset_table(a, 1, 2 * m - 1), m, axis=0)
+    return BlockMatrix(_window_matrix(windows), a.block_size)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourTooTight, EigFailure, SpectrumTooClose
+from .errors import ContourTooTight, EigFailure, NoConvergence, SpectrumTooClose
 from .fitting import fit_decay
-from .symbol import (_SINGULAR_FLOOR, _guarded_inverse, _refine, _row_chunks,
-                     _sample_shifted, _winding_rows, default_grid_size, reverse)
+from .symbol import (_NOISE_FACTOR, _SINGULAR_FLOOR, _guarded_inverse, _refine,
+                     _row_chunks, _sample_shifted, _winding_rows, default_grid_size,
+                     reverse)
 from .toeplitz import _assemble, hankel_section, toeplitz_section, trace_f_direct
 
 
@@ -141,9 +142,12 @@ def _connected(points, threshold):
     cKDTree.query_pairs, without listing the pairs.  The points go into
     square cells of side about threshold / sqrt(3), small enough that any
     two points of one cell are linked, and a union-find over the occupied
-    cells joins two cells at most `span` (2) apart per axis when
-    cKDTree.count_neighbors finds a linked pair between them, stopping as
-    soon as one component remains.  Memory is linear in the cloud.
+    cells joins two cells at most `span` (2) apart per axis when a linked
+    pair lies between them, stopping as soon as one component remains.
+    Pairs with a one-point cell are decided by the distance rule itself
+    (pairs of two one-point cells all at once); cKDTree.count_neighbors
+    decides pairs of two cells that hold more than one point.  Memory is
+    linear in the cloud.
     """
     from scipy.spatial import cKDTree
 
@@ -177,6 +181,12 @@ def _connected(points, threshold):
         hit = np.flatnonzero(cells[pos] == target)
         first.append(hit)
         second.append(pos[hit])
+    first, second = np.concatenate(first), np.concatenate(second)
+    sizes = np.diff(starts)
+    # pairs of one-point cells are decided here, all at once
+    d = xy[starts[first]] - xy[starts[second]]
+    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r2
+    alone = (sizes[first] == 1) & (sizes[second] == 1)
 
     parent = list(range(len(cells)))
 
@@ -193,10 +203,19 @@ def _connected(points, threshold):
             trees[c] = cKDTree(xy[starts[c]:starts[c + 1]])
         return trees[c]
 
+    def linked(a, b):
+        if sizes[a] > 1 and sizes[b] > 1:
+            return tree(a).count_neighbors(tree(b), threshold) > 0
+        if sizes[a] > 1:
+            a, b = b, a
+        d = xy[starts[b]:starts[b + 1]] - xy[starts[a]]
+        return bool(np.any(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r2))
+
     components = len(cells)
-    for a, b in zip(np.concatenate(first).tolist(), np.concatenate(second).tolist()):
+    for a, b, pair_alone, pair_near in zip(first.tolist(), second.tolist(),
+                                           alone.tolist(), near.tolist()):
         ra, rb = root(a), root(b)
-        if ra != rb and tree(a).count_neighbors(tree(b), threshold) > 0:
+        if ra != rb and (pair_near if pair_alone else linked(a, b)):
             parent[ra] = rb
             components -= 1
             if components == 1:
@@ -270,67 +289,92 @@ def trace_constant(a, f, contour):
     M'(l) = -H(a) H(((a-l)^-2)~).  H(a) has only W nonzero rows and
     columns when a has positive bandwidth W, which makes M block
     triangular: every section of size m >= W yields the trace of the
-    W x W corner, so the corner is what gets evaluated.  The grid that
-    carries the resolvent coefficients is sized for a nominal section
-    doubled from max(64, W) until the quadrature value stabilizes to 1e-9;
-    NoConvergence is raised when it does not by section 2048 (at once when
-    W > 2048).
+    W x W corner, so the corner is what gets evaluated.  Its entries are
+    the resolvent coefficients at offsets -1..-(2W-1), read from FFTs on
+    an M-point grid that doubles from max(a.grid_size, 16 W rounded up to
+    a power of two, 256) to max(a.grid_size, 2^15).  Sampling on M/2
+    points folds the bins at those offsets + M/2 onto them, so the
+    largest folded bin over the largest used bin, over every node and
+    both (a-l)^-1 and (a-l)^-2, is how far the used coefficients moved
+    from the half grid; the first grid where that gap is at most 1e-13,
+    or the folded bins are FFT round-off (at most 64 eps times the
+    largest sample), is accepted.
+    Only the accepted grid builds corners, one solve per node.
+    NoConvergence is raised when no grid up to the cap is accepted, and
+    at once when W > 2048.
 
     The nodes run in chunks of at most 2^17 samples: one stacked inverse,
-    square and FFT per chunk, then the corner solve per node, summed in
-    node order.  Before a chunk's solves, SpectrumTooClose is raised at
-    the first of its nodes where the symbol's range comes within 1e-10
-    of the node (smallest singular value of a - lambda on the grid); an
-    SVD decides this only for chunks where 1 / ||(a - lambda)^-1||_F
-    does not certify it or the inverse is too ill-conditioned to trust
-    (see symbol._guarded_inverse).
+    square and FFT per chunk, of which the used bins are kept; the corner
+    solves are summed in node order.  SpectrumTooClose is raised at the
+    first node of a chunk where the symbol's range comes within 1e-10 of
+    the node (smallest singular value of a - lambda on the grid); an SVD
+    decides this only for chunks where 1 / ||(a - lambda)^-1||_F does not
+    certify it or the inverse is too ill-conditioned to trust (see
+    symbol._guarded_inverse).
     """
     n = a.block_size
     band = max((k for k in a.coeffs if k > 0), default=0)
     if band == 0:
         return 0.0 + 0.0j  # H(a) vanishes, M(l) is the identity
+    if band > 2048:
+        raise NoConvergence(f"trace_constant: bandwidth {band} exceeds the corner cap 2048")
     if hasattr(f, "check"):
         f.check(contour.nodes, where="contour nodes")
     fvals = f(contour.nodes)
+    used = slice(-(2 * band - 1), None)  # the FFT bins of offsets -(2W-1)..-1
 
-    def step(m_section, prev):
-        # the grid keeps growing with the nominal section so the
-        # stabilization check also validates the coefficient accuracy
-        m_grid = max(a.grid_size, default_grid_size(2 * m_section))
+    def step(m_grid, prev):
         samples = a.sample(m_grid).samples
-        ha = hankel_section(a, band).data
-        eye = np.eye(band * n)
-        j = np.arange(band)
-        idx = -(j[:, None] + j[None, :] + 1)  # FFT bins of offsets -(j+k+1)
-        bins = slice(-(2 * band - 1), None)  # the bins idx reaches
-        total = 0.0 + 0.0j
-        for chunk in _row_chunks(len(contour.nodes), m_grid * n * n):
+        folded = slice(m_grid // 2 - (2 * band - 1), m_grid // 2)  # used + M/2
+        # per power of the resolvent: largest used bin, folded bin, M x sample
+        peaks = np.zeros((2, 3))
+
+        def used_bins(values, power):
+            top = m_grid * np.abs(values).max()
+            full = np.fft.fft(values, axis=1)
+            np.maximum(peaks[power], [np.abs(full[:, used]).max(),
+                                      np.abs(full[:, folded]).max(), top],
+                       out=peaks[power])
+            return full[:, used] / m_grid
+
+        # one function call per chunk, so that its arrays are freed before the next
+        def chunk_bins(chunk):
             lams = contour.nodes[chunk]
-            shifted = samples[None] - lams[:, None, None, None] * np.eye(n)
-            inv, margins = _guarded_inverse(shifted)
+            inv, margins = _guarded_inverse(
+                samples[None] - lams[:, None, None, None] * np.eye(n))
             if margins is not None:
                 for lam, dist in zip(lams, margins.min(axis=1)):
                     if dist <= _SINGULAR_FLOOR:
                         raise SpectrumTooClose(
                             f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
             inv2 = inv * inv if n == 1 else inv @ inv
-            hat1 = np.fft.fft(inv, axis=1)[:, bins] / m_grid
-            hat2 = np.fft.fft(inv2, axis=1)[:, bins] / m_grid
-            for lam, weight, fv, t1, t2 in zip(lams, contour.weights[chunk],
-                                              fvals[chunk], hat1, hat2):
-                mmat = eye - ha @ _assemble(t1, idx, 0)
-                mprime = -(ha @ _assemble(t2, idx, 0))
-                try:
-                    solved = np.linalg.solve(mmat, mprime)
-                except np.linalg.LinAlgError as exc:
-                    raise SpectrumTooClose(
-                        f"determinant representation singular at lambda={lam:.6g}"
-                    ) from exc
-                total += weight * fv * np.trace(solved)
-        val = complex(total / (2j * np.pi))
-        return val, np.inf if prev is None else abs(val - prev)
+            return chunk, used_bins(inv, 0), used_bins(inv2, 1)
 
-    return _refine(step, max(64, band), 2048, 1e-9)
+        chunks = _row_chunks(len(contour.nodes), m_grid * n * n)
+        hats = [chunk_bins(chunk) for chunk in chunks]
+        # folded bins at FFT round-off carry no signal: the used ones are final
+        return hats, max(0.0 if folded <= _NOISE_FACTOR * top else folded / big
+                         for big, folded, top in peaks)
+
+    hats = _refine(step, max(a.grid_size, default_grid_size(2 * band)),
+                   max(a.grid_size, 1 << 15), 1e-13)
+    ha = hankel_section(a, band).data
+    eye = np.eye(band * n)
+    j = np.arange(band)
+    idx = -(j[:, None] + j[None, :] + 1)  # FFT bins of offsets -(j+k+1)
+    total = 0.0 + 0.0j
+    for chunk, hat1, hat2 in hats:
+        for lam, weight, fv, t1, t2 in zip(contour.nodes[chunk], contour.weights[chunk],
+                                          fvals[chunk], hat1, hat2):
+            mmat = eye - ha @ _assemble(t1, idx, 0)
+            mprime = -(ha @ _assemble(t2, idx, 0))
+            try:
+                solved = np.linalg.solve(mmat, mprime)
+            except np.linalg.LinAlgError as exc:
+                raise SpectrumTooClose(
+                    f"determinant representation singular at lambda={lam:.6g}") from exc
+            total += weight * fv * np.trace(solved)
+    return complex(total / (2j * np.pi))
 
 
 def trace_asymptotic(a, n, f, contour):

@@ -44,6 +44,36 @@ def test_hankel_single_entry():
     np.testing.assert_allclose(h.data, expected)
 
 
+def _gathered(a, lo, hi, idx):
+    """Reference: the section gathered block by block from the offset table."""
+    from toepasym.toeplitz import _assemble, _offset_table
+    return _assemble(_offset_table(a, lo, hi), idx, lo)
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_sections_match_gathered(block_size):
+    rng = np.random.default_rng(block_size)
+    coeffs = {}
+    for k in range(-6, 7):
+        blk = rng.standard_normal((block_size, block_size)) + 1j * rng.standard_normal(
+            (block_size, block_size))
+        blk.real[0, 0] = -0.0
+        blk.imag[-1, -1] = -0.0 if k % 2 else 0.0
+        coeffs[k] = blk
+    a = tp.LaurentMatrixSeries(block_size, coeffs)
+    for n in (0, 1, 2, 64, 257):
+        j = np.arange(n + 1)
+        pairs = [(tp.toeplitz_section(a, n).data, _gathered(a, -n, n, j[:, None] - j[None, :])),
+                 (tp.hankel_section(a, n + 1).data,
+                  _gathered(a, 1, 2 * n + 1, j[:, None] + j[None, :] + 1))]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(want, part)))
+
+
 def test_hermitian_coefficient_symbol_gives_hermitian_section():
     rng = np.random.default_rng(11)
     coeffs = {0: rng.standard_normal((2, 2))}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.symbol import _BATCH_SAMPLES, default_grid_size
+from toepasym.toeplitz import _assemble
 
 
 @pytest.fixture
@@ -195,14 +196,18 @@ def test_connected_matches_all_pairs(cloud):
     assert _connected(points, threshold) == _all_pairs_connected(points, threshold)
 
 
-@pytest.mark.parametrize("name", ["fixture", "rational", "zygmund"])
+@pytest.mark.parametrize("name", ["fixture", "rational", "zygmund", "zygmund9"])
 def test_connected_matches_all_pairs_on_spectra(name, rational_symbol, two_block_symbol):
     from toepasym.traces import _connected
 
     a = {"fixture": two_block_symbol, "rational": rational_symbol,
-         "zygmund": tp.zygmund_symbol(0.75, 5, seed=2)}[name]
+         "zygmund": tp.zygmund_symbol(0.75, 5, seed=2),
+         "zygmund9": tp.zygmund_symbol(0.75, 9)}[name]
     points = tp.estimate_spectrum(a).points
-    for threshold in (2.0, 0.5, 0.05, 0.01, 1e-3):
+    # 4851 points: thousands of cells, most with one point, at 1e-3; the
+    # larger thresholds would list millions of pairs in the reference
+    thresholds = (1e-3,) if name == "zygmund9" else (2.0, 0.5, 0.05, 0.01, 1e-3)
+    for threshold in thresholds:
         assert _connected(points, threshold) == _all_pairs_connected(points, threshold)
 
 
@@ -283,43 +288,78 @@ def test_trace_constant_raises_above_section_cap():
     assert peak < 1 << 20
 
 
-def _per_node_trace_constant(a, f, contour):
-    """Reference: trace_constant with every contour node evaluated on its
-    own, the symbol-range guard an exact SVD per node."""
-    from toepasym.symbol import _refine
-    from toepasym.toeplitz import _assemble
+def test_trace_constant_own_grid_above_cap(fixture_contour):
+    # a symbol's own grid above 2^15 is both the start grid and the cap
+    _, contour = fixture_contour
+    a = tp.scalar_symbol({0: 1.25, 1: -0.5, -1: -0.5}, grid_size=1 << 16)
+    assert tp.trace_constant(a, tp.SQUARE, contour) == pytest.approx(-0.5, abs=1e-9)
 
+
+def _node_traces(a, contour, grid=None):
+    """Reference: tr(M^-1 M') at every contour node, each node evaluated
+    on its own, the symbol-range guard an exact SVD per node.  The grid
+    doubles from max(a.grid_size, default_grid_size(2 W)) until the used
+    FFT bins (offsets -1..-(2W-1)) move by at most 1e-13 of their largest
+    from the half grid, or those bins + M/2 are round-off; a given
+    ``grid`` is used alone, with no gap test and no guard."""
     n = a.block_size
     band = max((k for k in a.coeffs if k > 0), default=0)
-    fvals = f(contour.nodes)
+    used = slice(-(2 * band - 1), None)
 
-    def step(m_section, prev):
-        m_grid = max(a.grid_size, default_grid_size(2 * m_section))
+    def node_hats(m_grid, guard=True):
         samples = a.sample(m_grid).samples
-        ha = tp.hankel_section(a, band).data
-        eye = np.eye(band * n)
-        j = np.arange(band)
-        idx = -(j[:, None] + j[None, :] + 1)
-        total = 0.0 + 0.0j
-        for lam, weight, fv in zip(contour.nodes, contour.weights, fvals):
+        folded = slice(m_grid // 2 - (2 * band - 1), m_grid // 2)
+        hats, peaks = [], np.zeros((2, 3))
+        for lam in contour.nodes:
             shifted = samples - lam * np.eye(n)
-            if n == 1:
-                dist = np.min(np.abs(shifted[:, 0, 0]))
-            else:
-                dist = float(np.linalg.svd(shifted, compute_uv=False)[:, -1].min())
-            if dist <= 1e-10:
-                raise tp.SpectrumTooClose(
-                    f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
+            if guard:
+                dist = (np.min(np.abs(shifted[:, 0, 0])) if n == 1 else
+                        float(np.linalg.svd(shifted, compute_uv=False)[:, -1].min()))
+                if dist <= 1e-10:
+                    raise tp.SpectrumTooClose(
+                        f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
             inv = 1.0 / shifted if n == 1 else np.linalg.inv(shifted)
             inv2 = inv * inv if n == 1 else inv @ inv
-            h1 = _assemble(np.fft.fft(inv, axis=0) / m_grid, idx, 0)
-            h2 = _assemble(np.fft.fft(inv2, axis=0) / m_grid, idx, 0)
-            solved = np.linalg.solve(eye - ha @ h1, -(ha @ h2))
-            total += weight * fv * np.trace(solved)
-        val = complex(total / (2j * np.pi))
-        return val, np.inf if prev is None else abs(val - prev)
+            pair = []
+            for power, values in enumerate((inv, inv2)):
+                full = np.fft.fft(values, axis=0)
+                pair.append(full[used] / m_grid)
+                peaks[power] = np.maximum(peaks[power], [np.abs(full[used]).max(),
+                                                         np.abs(full[folded]).max(),
+                                                         np.abs(values).max()])
+            hats.append(pair)
+        noise = 64 * np.finfo(float).eps * m_grid
+        gap = max(0.0 if fold <= noise * top else fold / big for big, fold, top in peaks)
+        return hats, gap
 
-    return _refine(step, max(64, band), 2048, 1e-9)
+    if grid is None:
+        grid = max(a.grid_size, default_grid_size(2 * band))
+        hats, gap = node_hats(grid)
+        while gap > 1e-13:
+            grid *= 2
+            assert grid <= 1 << 15
+            hats, gap = node_hats(grid)
+    else:
+        hats, _ = node_hats(grid, guard=False)
+    ha = tp.hankel_section(a, band).data
+    eye = np.eye(band * n)
+    j = np.arange(band)
+    idx = -(j[:, None] + j[None, :] + 1)
+    traces = []
+    for h1, h2 in hats:
+        solved = np.linalg.solve(eye - ha @ _assemble(h1, idx, 0), -(ha @ _assemble(h2, idx, 0)))
+        traces.append(np.trace(solved))
+    return traces
+
+
+def _per_node_trace_constant(a, f, contour, traces=None):
+    """Reference: the contour sum over _node_traces, in node order."""
+    if traces is None:
+        traces = _node_traces(a, contour)
+    total = 0.0 + 0.0j
+    for weight, fv, tr in zip(contour.weights, f(contour.nodes), traces):
+        total += weight * fv * tr
+    return complex(total / (2j * np.pi))
 
 
 def _lacunary_block(gamma, levels, seed):
@@ -362,13 +402,14 @@ def test_batched_trace_constant_matches_per_node(name, two_block_symbol, rationa
          "one_node_left": two_block_symbol}[name]
     contour = tp.build_contour(tp.estimate_spectrum(a, 64), 0.5, nodes=64)
     if name == "one_node_left":
-        # at every grid of the refinement the last chunk holds one node
+        # the last chunk of the start grid, which this symbol accepts, holds one node
         band = max(a.coeffs)
-        m_grid = max(a.grid_size, default_grid_size(2 * max(64, band)))
+        m_grid = max(a.grid_size, default_grid_size(2 * band))
         per_chunk = _BATCH_SAMPLES // (m_grid * a.block_size**2)
         contour = _circle(contour.center, contour.radius, per_chunk + 1)
+    traces = _node_traces(a, contour)
     for f in (tp.SQUARE, tp.exponential()):
-        assert tp.trace_constant(a, f, contour) == _per_node_trace_constant(a, f, contour)
+        assert tp.trace_constant(a, f, contour) == _per_node_trace_constant(a, f, contour, traces)
 
 
 def test_trace_constant_guard_fallback_matches_per_node(two_block_symbol):
@@ -379,11 +420,79 @@ def test_trace_constant_guard_fallback_matches_per_node(two_block_symbol):
     a = tp.LaurentMatrixSeries(2, {k: 3e-10 * blk for k, blk in two_block_symbol.coeffs.items()})
     spectrum = tp.estimate_spectrum(two_block_symbol, 64)
     contour = _circle(3e-10 * spectrum.centroid, 3e-10 * (spectrum.max_radius + 0.5), 64)
-    shifted = a.sample(1024).samples - contour.nodes[0] * np.eye(2)
+    shifted = a.sample().samples - contour.nodes[0] * np.eye(2)  # the grid it accepts
     inv, margins = _guarded_inverse(shifted)
     assert margins is not None and margins.min() > 1e-10
     assert tp.trace_constant(a, tp.SQUARE, contour) == _per_node_trace_constant(
         a, tp.SQUARE, contour)
+
+
+@pytest.mark.parametrize("name", ["two_block", "lacunary", "hermitian3", "scalar", "zygmund"])
+def test_trace_constant_matches_fine_grid(name, two_block_symbol, rational_symbol):
+    a = {"two_block": two_block_symbol, "lacunary": _lacunary_block(0.75, 4, 3),
+         "hermitian3": _hermitian3(5), "scalar": rational_symbol,
+         "zygmund": tp.zygmund_symbol(0.75, 5)}[name]
+    contour = tp.build_contour(tp.estimate_spectrum(a, 64), 0.5, nodes=64)
+    traces = _node_traces(a, contour, grid=16384)
+    for f in (tp.SQUARE, tp.exponential()):
+        ef = tp.trace_constant(a, f, contour)
+        reference = _per_node_trace_constant(a, f, contour, traces)
+        assert abs(ef - reference) <= 1e-13 * max(1.0, abs(ef))
+
+
+def test_trace_constant_builds_corners_once(monkeypatch):
+    # this symbol rejects its start grid 256 and accepts 512
+    import toepasym.traces
+    a = _lacunary_block(0.75, 4, 3)
+    contour = tp.build_contour(tp.estimate_spectrum(a, 64), 0.5, nodes=64)
+    grids, counts = [], {"hankel_section": 0, "solve": 0}
+    sample, hankel, solve = tp.LaurentMatrixSeries.sample, tp.hankel_section, np.linalg.solve
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def spy(self, grid_size=None):
+        grids.append(grid_size)
+        return sample(self, grid_size)
+
+    monkeypatch.setattr(tp.LaurentMatrixSeries, "sample", spy)
+    monkeypatch.setattr(toepasym.traces, "hankel_section", counting("hankel_section", hankel))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", solve))
+    tp.trace_constant(a, tp.SQUARE, contour)
+    assert grids == [256, 512]
+    assert counts == {"hankel_section": 1, "solve": 64}
+
+
+def test_trace_constant_raises_at_grid_cap(rational_symbol):
+    # 1e-7 above the top 2.25 of the symbol's range, the resolvent's
+    # coefficients decay like (1 - sqrt(2e-7))^k: 2^15 points leave a gap ~1e-3
+    contour = tp.ContourSpec(nodes=np.array([2.25 + 1e-7, 3.0 + 0j]),
+                             weights=np.array([1.0 + 0j, 1.0 + 0j]),
+                             clearance=0.0, center=0j, radius=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(tp.NoConvergence) as info:
+            tp.trace_constant(rational_symbol, tp.SQUARE, contour)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(info.value)
+    assert message.startswith("trace_constant: gap ")
+    assert message.endswith("above tolerance 1e-13 at the cap resolution 32768")
+    assert float(message.split()[2]) > 1e-4
+    assert peak < 1 << 23
+
+
+def test_trace_constant_one_sided_symbol(geometric_symbol):
+    # T_n(a) is triangular, tr f(T_n(a)) = (n+1) f(a_0) = (n+1) G_f: E_f = 0.
+    # The resolvent has no negative offsets, so the used bins are round-off
+    # on every grid and the start grid is accepted.
+    contour = tp.build_contour(tp.estimate_spectrum(geometric_symbol, 64), 0.5)
+    for f in (tp.SQUARE, tp.exponential()):
+        assert abs(tp.trace_constant(geometric_symbol, f, contour)) < 1e-15
 
 
 def test_trace_constant_node_near_range_raises():
