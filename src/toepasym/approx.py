@@ -3,9 +3,9 @@ Laurent approximation with decay-rate verification.
 
 Supremum norms are computed by documented grid sweeps (default 4096
 evaluation points, 512 shift values), so all results are reproducible.
-The shift sweep is batched: the samples at many shifts come from one
-inverse FFT per batch of at most 2^17 samples, and every value matches
-a sweep that samples one shift at a time bit for bit.
+The difference at shift h is sampled from the coefficients times the
+multiplier of Delta_h, by one inverse FFT per batch of at most 2^17
+samples; nothing cancels, so omega(a, pi/2^12) is good to 1e-14 relative.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitDegenerate
+from .errors import FitDegenerate, GridTooCoarse
 from .symbol import LaurentMatrixSeries, _row_chunks, _sample_rows
 
 DENSE_GRID = 4096
@@ -22,27 +22,29 @@ SHIFT_SWEEP = 512
 ERROR_FLOOR = 1e-14
 
 
-def _shifted_samples(offsets, blocks, m, hs):
-    """Samples at theta_j + h, one row per shift h in hs, shape
-    (len(hs), M, N, N); exact for trig polynomials."""
-    weights = np.exp(1j * np.multiply.outer(hs, offsets))
-    return _sample_rows(offsets, weights[:, :, None, None] * blocks, m)
+def _shifts(s, sweep):
+    if not isinstance(sweep, (int, np.integer)) or sweep < 1:
+        raise ValueError("sweep must be an integer >= 1")
+    return np.linspace(s / sweep, s, sweep)
 
 
 def _sweep_maxima(a, order, hs, grid_size):
-    """max over x of |g(x+h) - g(x)| (order 1) or
-    |g(x+h) - 2 g(x) + g(x-h)| (order 2) for each shift h in hs."""
+    """max over x of |Delta_h g(x)| for each shift h in hs, where
+    Delta_h g(x) = g(x+h) - g(x) (order 1) or g(x+h) - 2 g(x) + g(x-h)
+    (order 2), sampled from the coefficients times the multiplier of
+    Delta_h at offset k: 2i sin(kh/2) e^(ikh/2) or -4 sin(kh/2)^2."""
+    if grid_size < 2 or grid_size & (grid_size - 1):
+        raise GridTooCoarse(f"grid size {grid_size} is not a power of two")
     m = max(grid_size, a.grid_size)
     offsets = a.support()
     n = a.block_size
     blocks = np.array([a.coeffs[k] for k in offsets]).reshape(-1, n, n)
-    base = order * _shifted_samples(offsets, blocks, m, np.zeros(1))  # g or 2 g
     out = np.empty(len(hs))
     for rows in _row_chunks(len(hs), m * n * n):
-        diff = _shifted_samples(offsets, blocks, m, hs[rows])
-        diff -= base
-        if order == 2:
-            diff += _shifted_samples(offsets, blocks, m, -hs[rows])
+        half = 0.5 * np.multiply.outer(hs[rows], offsets)
+        sin = np.sin(half)
+        mult = 2j * sin * np.exp(1j * half) if order == 1 else -4 * sin**2
+        diff = _sample_rows(offsets, mult[:, :, None, None] * blocks, m)
         out[rows] = np.abs(diff).max(axis=(1, 2, 3))
     return out
 
@@ -59,8 +61,7 @@ def modulus_of_smoothness(a, order, s, grid_size=DENSE_GRID, sweep=SHIFT_SWEEP):
         raise ValueError("order must be 1 or 2")
     if not 0 < s <= np.pi:
         raise ValueError("s must lie in (0, pi]")
-    hs = np.linspace(s / sweep, s, sweep)
-    return float(_sweep_maxima(a, order, hs, grid_size).max())
+    return float(_sweep_maxima(a, order, _shifts(s, sweep), grid_size).max())
 
 
 def zygmund_seminorm(a, delta, grid_size=DENSE_GRID, sweep=SHIFT_SWEEP):
@@ -72,7 +73,7 @@ def zygmund_seminorm(a, delta, grid_size=DENSE_GRID, sweep=SHIFT_SWEEP):
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     scales = [np.pi * 2.0 ** (-i) for i in range(13)]
-    hs = np.concatenate([np.linspace(s / sweep, s, sweep) for s in scales])
+    hs = np.concatenate([_shifts(s, sweep) for s in scales])
     distinct, where = np.unique(hs, return_inverse=True)
     per_shift = _sweep_maxima(a, 2, distinct, grid_size)[where]
     per_scale = per_shift.reshape(13, sweep).max(axis=1)

@@ -86,7 +86,7 @@ def strong_szego_series(a):
         raise ValueError("series oracle requires a scalar symbol")
 
     def step(m, prev):
-        lhat = np.fft.fft(_zero_winding_log(a.sample(m).samples[:, 0, 0])) / m
+        lhat = np.fft.fft(_zero_winding_log(a.sample(m).samples[:, 0, 0]), norm="forward")
         ks = np.arange(1, m // 2)
         val = complex(np.sum(ks * lhat[ks] * lhat[-ks % m]))
         return val, np.inf if prev is None else abs(val - prev)

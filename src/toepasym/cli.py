@@ -380,7 +380,3 @@ def main(argv=None):
     except (FileNotFoundError, ValueError) as exc:
         print(f"ConfigInvalid: {exc}", file=sys.stderr)
         return ConfigInvalid.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

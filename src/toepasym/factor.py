@@ -118,7 +118,7 @@ def scalar_wiener_hopf(a, cutoff=None):
         raise ValueError("scalar path requires block size one")
 
     def step(m, prev):
-        ghat = np.fft.fft(_zero_winding_log(a.sample(m).samples[:, 0, 0])) / m
+        ghat = np.fft.fft(_zero_winding_log(a.sample(m).samples[:, 0, 0]), norm="forward")
         alias = float(np.abs(ghat[m // 4: 3 * m // 4]).sum())
         return ghat, alias / max(1.0, float(np.abs(ghat).max()))
 
@@ -126,13 +126,13 @@ def scalar_wiener_hopf(a, cutoff=None):
     m = len(ghat)
     idx = np.arange(m)
     plus_mask = (idx <= m // 2)  # bins 0..m/2 hold offsets 0..m/2
-    gp = np.fft.ifft(np.where(plus_mask, ghat, 0.0)) * m
-    gm = np.fft.ifft(np.where(~plus_mask, ghat, 0.0)) * m
+    gp = np.fft.ifft(np.where(plus_mask, ghat, 0.0), norm="forward")
+    gm = np.fft.ifft(np.where(~plus_mask, ghat, 0.0), norm="forward")
     up_samples = np.exp(gp)
     um_samples = np.exp(gm)
     if cutoff is None:
-        mass = np.maximum(np.abs(np.fft.fft(up_samples) / m),
-                          np.abs(np.fft.fft(um_samples) / m))
+        mass = np.maximum(np.abs(np.fft.fft(up_samples, norm="forward")),
+                          np.abs(np.fft.fft(um_samples, norm="forward")))
         cutoff = min(max(_tail_cutoff(mass, 1e-13)[0], 8), m // 2 - 1)
     grid_p = SymbolGrid(1, up_samples[:, None, None])
     grid_m = SymbolGrid(1, um_samples[:, None, None])

@@ -129,7 +129,7 @@ class LaurentMatrixSeries:
         carr = np.zeros((m, n, n), dtype=complex)
         for k, blk in self.coeffs.items():
             carr[k % m] += blk
-        return SymbolGrid(n, m * np.fft.ifft(carr, axis=0))
+        return SymbolGrid(n, np.fft.ifft(carr, axis=0, norm="forward"))
 
     def eval(self, theta):
         return evaluate(self, theta)
@@ -261,7 +261,7 @@ def coefficients_from_samples(grid, cutoff):
     cutoff = int(cutoff)
     if 2 * cutoff + 2 > m:
         raise CutoffTooLarge(f"cutoff {cutoff} needs a grid larger than {m}")
-    hat = np.fft.fft(grid.samples, axis=0) / m
+    hat = np.fft.fft(grid.samples, axis=0, norm="forward")
     scale = float(np.max(np.abs(grid.samples))) if grid.samples.size else 0.0
     tol = _NOISE_FACTOR * scale
     offsets = range(-cutoff, cutoff + 1)
@@ -337,7 +337,7 @@ def _sample_rows(offsets, table, m):
     """
     carr = np.zeros((table.shape[0], m) + table.shape[2:], dtype=complex)
     carr[:, np.asarray(offsets, dtype=int) % m] += table
-    return m * np.fft.ifft(carr, axis=1)
+    return np.fft.ifft(carr, axis=1, norm="forward")
 
 
 def _sample_shifted(a, lams):
@@ -463,7 +463,7 @@ def certified_inverse(a, tol=1e-13):
                 theta = 2 * np.pi * worst / m
                 raise SingularSymbol(
                     f"smallest singular value {margins[worst]:.3e} at theta={theta:.6f}")
-        hat = np.fft.fft(inv, axis=0) / m
+        hat = np.fft.fft(inv, axis=0, norm="forward")
         cutoff, alias_mass = _tail_cutoff(np.max(np.abs(hat), axis=(1, 2)), tol)
         return (inv, cutoff), alias_mass
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.approx import best_error_on_grid
@@ -37,6 +39,31 @@ def test_modulus_invalid_args():
         tp.modulus_of_smoothness(COS, 1, 4.0)
 
 
+@pytest.mark.parametrize("sweep", [0, -3, 2.5, 512.0, "512"])
+def test_sweep_must_be_positive_integer(sweep):
+    with pytest.raises(ValueError, match="sweep must be an integer >= 1"):
+        tp.modulus_of_smoothness(COS, 2, 1.0, sweep=sweep)
+    with pytest.raises(ValueError, match="sweep must be an integer >= 1"):
+        tp.zygmund_seminorm(COS, 0.5, sweep=sweep)
+
+
+@pytest.mark.parametrize("grid_size", [1000, 1, 0, 3])
+def test_grid_must_be_power_of_two(grid_size):
+    message = f"grid size {grid_size} is not a power of two"
+    with pytest.raises(tp.GridTooCoarse, match=message):
+        tp.modulus_of_smoothness(COS, 1, 1.0, grid_size=grid_size)
+    with pytest.raises(tp.GridTooCoarse, match=message):
+        tp.zygmund_seminorm(COS, 0.5, grid_size=grid_size)
+
+
+def test_grid_rule_matches_near_best():
+    f = tp.scalar_symbol({0: 1.0, 5: 0.5, -5: 0.5})  # own grid 256
+    for call in (lambda: tp.near_best_approximation(f, 2, grid_size=1000),
+                 lambda: tp.modulus_of_smoothness(f, 2, 1.0, grid_size=1000)):
+        with pytest.raises(tp.GridTooCoarse, match="grid size 1000 is not a power of two"):
+            call()
+
+
 def test_second_modulus_bounded_by_twice_first():
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -56,7 +83,25 @@ def test_modulus_monotone_in_s():
 
 
 def _per_shift_modulus(a, order, s, grid_size, sweep):
-    """Reference: the sweep that samples one shift at a time."""
+    """Reference: the sweep that samples one shift at a time, each from the
+    coefficients times the multiplier of the difference operator."""
+    m = max(grid_size, a.grid_size)
+    n = a.block_size
+    worst = 0.0
+    for h in np.linspace(s / sweep, s, sweep):
+        carr = np.zeros((m, n, n), dtype=complex)
+        for k in a.support():
+            half = 0.5 * (h * k)
+            mult = (2j * np.sin(half) * np.exp(1j * half) if order == 1
+                    else -4 * np.sin(half) ** 2)
+            carr[k % m] += mult * a.coeffs[k]
+        diff = np.fft.ifft(carr, axis=0, norm="forward")
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
+
+
+def _sampled_difference_modulus(a, order, s, grid_size, sweep):
+    """Reference: differences of samples of g at x + h, x and x - h."""
     m = max(grid_size, a.grid_size)
     n = a.block_size
 
@@ -81,12 +126,95 @@ def test_batched_sweep_matches_per_shift_sweep(block_size):
     rng = np.random.default_rng(40 + block_size)
     g = (random_scalar_symbol(rng, max_offset=5) if block_size == 1
          else random_block_symbol(rng, block_size=block_size, max_offset=4))
+    # the sampled differences cancel up to eps * M * max|g| of rounding
+    cancel = np.finfo(float).eps * grid * np.abs(g.sample(grid).samples).max()
     one_left = _BATCH_SAMPLES // (grid * block_size**2) + 1  # last batch: one shift
     for order in (1, 2):
         for sweep in (1, 7, 512, one_left):
             for s in (0.7, np.pi):
                 batched = tp.modulus_of_smoothness(g, order, s, grid, sweep)
                 assert batched == _per_shift_modulus(g, order, s, grid, sweep)
+                sampled = _sampled_difference_modulus(g, order, s, grid, sweep)
+                assert abs(batched - sampled) <= cancel
+
+
+def _mpmath_modulus(a, order, s, grid_size, sweep):
+    """Reference at 40 digits: differences of the values of g at x + h, x
+    and x - h on the same grid and shifts, each value summed term by term."""
+    import mpmath
+
+    m = max(grid_size, a.grid_size)
+    n = a.block_size
+    with mpmath.workdps(40):
+        coeffs = {k: [[mpmath.mpc(complex(v)) for v in row] for row in blk]
+                  for k, blk in a.coeffs.items()}
+        powers = [{k: mpmath.expj(2 * mpmath.pi * j * k / m) for k in coeffs}
+                  for j in range(m)]
+
+        def g(j, shift):  # the entries of g(x_j + h), shift[k] = e^(ikh)
+            return [mpmath.fsum(coeffs[k][r][c] * powers[j][k] * shift[k] for k in coeffs)
+                    for r in range(n) for c in range(n)]
+
+        worst = mpmath.mpf(0)
+        for h in np.linspace(s / sweep, s, sweep):
+            h = mpmath.mpf(float(h))
+            plus = {k: mpmath.expj(k * h) for k in coeffs}
+            minus = {k: mpmath.expj(-k * h) for k in coeffs}
+            zero = {k: mpmath.mpf(1) for k in coeffs}
+            for j in range(m):
+                base = g(j, zero)
+                diff = [p - b for p, b in zip(g(j, plus), base)]
+                if order == 2:
+                    diff = [d - b + q for d, b, q in zip(diff, base, g(j, minus))]
+                worst = max([worst] + [abs(d) for d in diff])
+        return float(worst)
+
+
+@pytest.mark.parametrize("block_size", [1, 2])
+def test_modulus_matches_mpmath_at_small_scale(block_size):
+    # at s = pi/2^12 the sampled differences lose about 5 digits; the
+    # multiplier keeps the values within a few ulps
+    rng = np.random.default_rng(70 + block_size)
+    g = (random_scalar_symbol(rng, max_offset=5) if block_size == 1
+         else random_block_symbol(rng, block_size=2, max_offset=3))
+    s, grid, sweep = np.pi / 2**12, 256, 4
+    for order in (1, 2):
+        ref = _mpmath_modulus(g, order, s, grid, sweep)
+        val = tp.modulus_of_smoothness(g, order, s, grid, sweep)
+        assert abs(val - ref) <= 1e-14 * ref
+
+
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-6, 4.0), st.floats(-4.0, -1e-6))
+
+
+@st.composite
+def _symbols(draw):
+    n = draw(st.integers(1, 2))
+    coeffs = {}
+    for k in draw(st.lists(st.integers(-6, 6), unique=True, max_size=5)):
+        parts = draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
+        re, im = np.reshape(parts, (2, n, n))
+        coeffs[k] = re + 1j * im
+    return tp.LaurentMatrixSeries(n, coeffs, grid_size=256)
+
+
+@given(_symbols(), st.complex_numbers(max_magnitude=1e3),
+       st.integers(1, 2), st.floats(1e-4, np.pi))
+def test_modulus_ignores_constant_term(a, c, order, s):
+    # the multiplier of the difference operator is exactly 0 at offset 0
+    shifted = tp.add_constant(a, c)
+    assert (tp.modulus_of_smoothness(shifted, order, s, 256, 16)
+            == tp.modulus_of_smoothness(a, order, s, 256, 16))
+
+
+@given(_symbols(), st.integers(0, 4), st.integers(0, 5))
+def test_second_modulus_at_most_twice_first(a, scale, log_sweep):
+    # the shifts pi 2^-(scale+log_sweep) l lie on the 256-point grid, so
+    # Delta_h^2 g(x) = Delta_h g(x) - Delta_h g(x - h) takes both terms there
+    s = np.pi * 2.0**-scale
+    w1 = tp.modulus_of_smoothness(a, 1, s, 256, 2**log_sweep)
+    w2 = tp.modulus_of_smoothness(a, 2, s, 256, 2**log_sweep)
+    assert w2 <= 2 * w1 * (1 + 1e-12)
 
 
 def test_zygmund_seminorm_is_max_over_scales():

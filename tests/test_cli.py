@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +198,21 @@ def test_symbol_file_with_nan_exits_config_invalid(tmp_path, capsys):
                            "--n-min", "0", "--n-max", "2")
     assert code == tp.ConfigInvalid.exit_code
     assert err == "ConfigInvalid: symbol blocks must be finite\n"
+
+
+def test_python_dash_m_runs_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(tp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "z.json"
+    run = subprocess.run([sys.executable, "-m", "toepasym", "gen-symbol", "--zygmund",
+                          "0.75", "--levels", "4", "--seed", "1", "-o", str(out)],
+                         env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    golden = Path(__file__).parent / "golden" / "cli" / "z.json"
+    assert out.read_bytes() == golden.read_bytes()
+    missing = subprocess.run([sys.executable, "-m", "toepasym", "decay-fit", "--input",
+                              str(tmp_path / "missing.csv"), "-o", str(tmp_path / "f.json")],
+                             env=env, capture_output=True, text=True)
+    assert missing.returncode == tp.ConfigInvalid.exit_code
+    assert missing.stderr.startswith("ConfigInvalid:")

@@ -381,3 +381,17 @@ def test_json_schema(tmp_path, rational_symbol):
     assert data["coeffs"][0]["re"] == [[-0.5]]
     loaded = tp.load_symbol(path)
     assert loaded.block(0)[0, 0] == 1.25
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_forward_norm_fft_is_bitwise_scaled_fft(scale):
+    # power-of-two M: scaling inside the transform rounds exactly like
+    # multiplying or dividing its output by M
+    rng = np.random.default_rng(int(np.log10(scale)) + 400)
+    for m in (1 << e for e in range(1, 18)):
+        x = scale * (rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)))
+        for axis in (0, 1):
+            forward = np.fft.ifft(x, axis=axis, norm="forward")
+            np.testing.assert_array_equal(forward, x.shape[axis] * np.fft.ifft(x, axis=axis))
+            forward = np.fft.fft(x, axis=axis, norm="forward")
+            np.testing.assert_array_equal(forward, np.fft.fft(x, axis=axis) / x.shape[axis])
