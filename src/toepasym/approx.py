@@ -96,6 +96,8 @@ def near_best_approximation(f, n, grid_size=DENSE_GRID):
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
+    if grid_size < 2 or grid_size & (grid_size - 1):
+        raise GridTooCoarse(f"grid size {grid_size} is not a power of two")
     kept = {k: blk for k, blk in f.coeffs.items() if abs(k) <= n}
     p = LaurentMatrixSeries(f.block_size, kept)
     tail = {k: blk for k, blk in f.coeffs.items() if abs(k) > n}

@@ -39,6 +39,8 @@ def parse_n_grid(spec):
     if lo < 0 or hi < lo:
         raise ConfigInvalid(f"empty n-grid {spec!r}")
     if kind == "geometric":
+        if lo == 0:
+            raise ConfigInvalid(f"geometric n-grid {spec!r} must start at n >= 1")
         out, v = [], lo
         while v <= hi:
             out.append(v)

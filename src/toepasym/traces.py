@@ -14,7 +14,6 @@ avoids branch tracking along the contour.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,125 +101,42 @@ def estimate_spectrum(a, m=64, interior_grid=25):
     return SpectrumEstimate.from_points(np.concatenate(clouds))
 
 
-def _float_from_bits(bits):
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _largest_float(holds):
-    """Largest finite float t >= 0 with holds(t), for a test that holds
-    at 0 and fails beyond some point: bisection over the bit patterns,
-    which the non-negative floats share in order."""
-    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(_float_from_bits(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return _float_from_bits(lo)
-
-
-def _cell_coordinates(x, side, span):
-    """floor(x / side) per point, exact, renumbered from 0 so that
-    differences up to span keep their value and larger ones read span + 1."""
-    if float(np.max(np.abs(x))) < side * 2.0**50:
-        k = np.floor_divide(x, side)  # exact below 2^50
-    else:  # the float quotient can miss by one or more: divide the rationals
-        num, den = side.as_integer_ratio()
-        k = np.array([(p * den) // (q * num)
-                      for p, q in map(float.as_integer_ratio, x.tolist())], dtype=object)
-    values, index = np.unique(k, return_inverse=True)
-    steps = np.minimum(np.diff(values), span + 1)
-    return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[index]
-
-
 def _connected(points, threshold):
     """Single-linkage connectivity of the cloud at the given threshold.
 
     Two points are linked when dx*dx + dy*dy, evaluated in floating point
     as cKDTree evaluates it, is at most threshold*threshold: the rule of
-    cKDTree.query_pairs, without listing the pairs.  The points go into
-    square cells of side about threshold / sqrt(3), small enough that any
-    two points of one cell are linked, and a union-find over the occupied
-    cells joins two cells at most `span` (2) apart per axis when a linked
-    pair lies between them, stopping as soon as one component remains.
-    Pairs with a one-point cell are decided by the distance rule itself
-    (pairs of two one-point cells all at once); cKDTree.count_neighbors
-    decides pairs of two cells that hold more than one point.  Memory is
-    linear in the cloud.
+    cKDTree.query_pairs, without listing the pairs.  A search from point 0
+    asks one cKDTree for the points linked to one reached point at a time
+    and stops as soon as every point is reached.  Memory is linear in the
+    cloud.
     """
     from scipy.spatial import cKDTree
 
     threshold = float(threshold)
-    r2 = threshold * threshold
-    if len(points) <= 1 or math.isnan(r2):  # a nan threshold links no pair
-        return len(points) == 1
-    if r2 == math.inf:
+    if threshold * threshold == math.inf:
         return True
-    # two points of a cell: dx*dx + dy*dy <= 2 side*side < r2
-    side = _largest_float(lambda t: 3.0 * (t * t) <= r2)
-    # a linked pair has |dx| and |dy| below the float after reach
-    reach = _largest_float(lambda t: t * t <= r2)
-    span = math.ceil(math.nextafter(reach, math.inf) / side * (1 + 2.0**-40))
-    cx = _cell_coordinates(points.real, side, span)
-    cy = _cell_coordinates(points.imag, side, span) + span
-    width = int(cy.max()) + span + 1
-    cells, cell_of = np.unique(cx * width + cy, return_inverse=True)
-    if len(cells) == 1:
-        return True
-    order = np.argsort(cell_of, kind="stable")
-    xy = np.column_stack([points.real, points.imag])[order]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(cell_of))))
-    # neighbour offsets in one half-plane, nearest first
-    offsets = sorted(((dx, dy) for dx in range(span + 1) for dy in range(-span, span + 1)
-                      if dx > 0 or dy > 0), key=lambda o: o[0] ** 2 + o[1] ** 2)
-    first, second = [], []
-    for dx, dy in offsets:
-        target = cells + (dx * width + dy)
-        pos = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
-        hit = np.flatnonzero(cells[pos] == target)
-        first.append(hit)
-        second.append(pos[hit])
-    first, second = np.concatenate(first), np.concatenate(second)
-    sizes = np.diff(starts)
-    # pairs of one-point cells are decided here, all at once
-    d = xy[starts[first]] - xy[starts[second]]
-    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r2
-    alone = (sizes[first] == 1) & (sizes[second] == 1)
-
-    parent = list(range(len(cells)))
-
-    def root(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    trees = {}
-
-    def tree(c):
-        if c not in trees:
-            trees[c] = cKDTree(xy[starts[c]:starts[c + 1]])
-        return trees[c]
-
-    def linked(a, b):
-        if sizes[a] > 1 and sizes[b] > 1:
-            return tree(a).count_neighbors(tree(b), threshold) > 0
-        if sizes[a] > 1:
-            a, b = b, a
-        d = xy[starts[b]:starts[b + 1]] - xy[starts[a]]
-        return bool(np.any(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r2))
-
-    components = len(cells)
-    for a, b, pair_alone, pair_near in zip(first.tolist(), second.tolist(),
-                                           alone.tolist(), near.tolist()):
-        ra, rb = root(a), root(b)
-        if ra != rb and (pair_near if pair_alone else linked(a, b)):
-            parent[ra] = rb
-            components -= 1
-            if components == 1:
-                return True
-    return False
+    xy = np.column_stack([points.real, points.imag])
+    # cKDTree squares distances across the bounding box, which overflow
+    # beyond about 1e154; a power-of-two scale changes no decision, since a
+    # connected cloud that wide has a threshold far above the underflow range
+    extent = float(np.max(np.ptp(0.5 * xy, axis=0)))
+    if extent > 2.0**500:
+        scale = 2.0 ** (500 - math.frexp(extent)[1])
+        xy, threshold = scale * xy, scale * threshold
+    tree = cKDTree(xy)
+    reached = np.zeros(len(xy), dtype=bool)
+    reached[0] = True
+    count, stack = 1, [0]
+    while count < len(xy):
+        if not stack:
+            return False
+        near = np.asarray(tree.query_ball_point(xy[stack.pop()], threshold), dtype=np.intp)
+        near = near[~reached[near]]
+        reached[near] = True
+        count += len(near)
+        stack.extend(near.tolist())
+    return True
 
 
 def build_contour(spectrum, margin, nodes=256):
@@ -229,12 +145,12 @@ def build_contour(spectrum, margin, nodes=256):
     Centered at the cloud centroid with radius max distance + margin.
     Disconnected clouds are rejected rather than handled with several
     components: linking every two points at most 4 margin apart must
-    join the whole cloud (single linkage, decided by grid bucketing and a
-    union-find in memory linear in the cloud).  So is any construction
-    whose verified clearance falls below margin / 2.
+    join the whole cloud (single linkage, decided by a search over one
+    cKDTree in memory linear in the cloud).  So is any construction whose
+    verified clearance falls below margin / 2.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < math.inf:
+        raise ValueError("margin must be positive and finite")
     if nodes < 64 or nodes & (nodes - 1):
         raise ValueError("node count must be a power of two >= 64")
     pts = spectrum.points

@@ -54,6 +54,11 @@ def test_grid_must_be_power_of_two(grid_size):
         tp.modulus_of_smoothness(COS, 1, 1.0, grid_size=grid_size)
     with pytest.raises(tp.GridTooCoarse, match=message):
         tp.zygmund_seminorm(COS, 0.5, grid_size=grid_size)
+    f = tp.zygmund_symbol(0.75, 8)  # the tail's own grid, 2048, is larger
+    with pytest.raises(tp.GridTooCoarse, match=message):
+        tp.near_best_approximation(f, 4, grid_size=grid_size)
+    with pytest.raises(tp.GridTooCoarse, match=message):
+        tp.jackson_decay_check(f, 0.75, [4, 8, 16, 32], grid_size=grid_size)
 
 
 def test_grid_rule_matches_near_best():

@@ -176,6 +176,11 @@ def test_cli_error_mapping(tmp_path, capsys):
      "margin must be positive"),
     (["approx-scan", "--gamma", "1.0", "--n-grid", "0:8:linear"], "degree"),
     (["expand", "--p", "0", "--n-grid", "4:16:geometric"], "p >= 1"),
+    (["expand", "--p", "1", "--n-grid", "0:8:geometric"], "must start at n >= 1"),
+    (["widom-trace", "--f", "square", "--n-grid", "4:16:geometric", "--margin", "inf"],
+     "margin must be positive and finite"),
+    (["widom-trace", "--f", "square", "--n-grid", "4:16:geometric", "--margin", "nan"],
+     "margin must be positive and finite"),
 ])
 def test_out_of_range_values_exit_config_invalid(tmp_path, capsys, argv, detail):
     sym = tmp_path / "s.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.toeplitz import _correction_sections
@@ -185,6 +187,41 @@ def test_widom_identity_at_section_level(rational_symbol):
     prod = (t_big @ tinv_big)[: m + 1, : m + 1]
     h = tp.hankel_section(a, m + 1).data @ tp.hankel_section(tp.reverse(ainv), m + 1).data
     np.testing.assert_allclose(np.eye(m + 1) - prod, h, atol=1e-8)
+
+
+@st.composite
+def _symbol_pairs(draw):
+    """Two random block symbols of size 1-3 with offsets in -4..4."""
+    size = draw(st.integers(1, 3))
+    entries = st.floats(-4.0, 4.0, allow_nan=False)
+
+    def series():
+        offsets = draw(st.lists(st.integers(-4, 4), unique=True, min_size=1, max_size=5))
+        coeffs = {}
+        for k in offsets:
+            parts = draw(st.lists(entries, min_size=2 * size * size, max_size=2 * size * size))
+            re, im = np.reshape(parts, (2, size, size))
+            coeffs[k] = re + 1j * im
+        return tp.LaurentMatrixSeries(size, coeffs)
+
+    return series(), series(), draw(st.integers(0, 8))
+
+
+@given(_symbol_pairs())
+def test_product_section_is_toeplitz_plus_hankel_product(case):
+    # T(ab) = T(a) T(b) + H(a) H(b~): with supports within K, the padded
+    # products are exact on the top-left n + 1 blocks
+    a, b, n = case
+    k = max(a.max_offset, b.max_offset)
+    rows = (n + 1) * a.block_size
+    toeplitz = tp.toeplitz_section(a, n + k).data @ tp.toeplitz_section(b, n + k).data
+    hankel = (tp.hankel_section(a, n + k + 1).data
+              @ tp.hankel_section(tp.reverse(b), n + k + 1).data)
+    expected = (toeplitz + hankel)[:rows, :rows]
+    got = tp.toeplitz_section(tp.multiply(a, b), n).data
+    scale = (sum(np.linalg.norm(blk) for blk in a.coeffs.values())
+             * sum(np.linalg.norm(blk) for blk in b.coeffs.values()))
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * scale
 
 
 def test_truncation_norms_identity_symbol():

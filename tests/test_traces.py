@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -110,8 +111,9 @@ def test_build_contour_fixture(fixture_contour):
 
 def test_build_contour_validation():
     s = tp.SpectrumEstimate.from_points([1.0])
-    with pytest.raises(ValueError):
-        tp.build_contour(s, 0.0)
+    for margin in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="margin must be positive and finite"):
+            tp.build_contour(s, margin)
     with pytest.raises(ValueError):
         tp.build_contour(s, 1.0, nodes=48)
 
@@ -139,6 +141,24 @@ def _all_pairs_connected(points, threshold):
     return connected_components(graph, directed=False)[0] == 1
 
 
+def _float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _largest_float(holds):
+    """Largest finite float t >= 0 with holds(t), for a test that holds
+    at 0 and fails beyond some point: bisection over the bit patterns,
+    which the non-negative floats share in order."""
+    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(_float_from_bits(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _float_from_bits(lo)
+
+
 _THRESHOLDS = [1e-300, 1e-160, 1e-9, 0.37, 1.0, 2.0, 3e5]
 
 
@@ -147,8 +167,6 @@ def _clouds(draw):
     """Clouds on lattices of fractions of the threshold (exact threshold
     distances, cell boundaries), or drawn within a few thresholds, with
     duplicates, a far-off centre, and imaginary parts at rounding level."""
-    from toepasym.traces import _largest_float
-
     threshold = draw(st.sampled_from(_THRESHOLDS))
     n = draw(st.integers(1, 30))
     r2 = threshold * threshold
@@ -176,6 +194,13 @@ def _clusters_apart(gap):
     return np.concatenate([cluster, cluster + 0.1 + gap])
 
 
+def _chain(gap):
+    """3000 points on the real line, spaced 1 - 2^-30 (exact multiples),
+    with the middle link `gap` long, ordered from the left end."""
+    step = 1.0 - 2.0**-30
+    return np.concatenate([-step * np.arange(1499, -1, -1), gap + step * np.arange(1500)])
+
+
 @given(_clouds())
 @example((np.array([0.25]), 1.0))  # a single point
 @example((np.array([0.0, 0.0, 0.0]), 1e-300))  # duplicates
@@ -189,6 +214,8 @@ def _clusters_apart(gap):
 @example((1e-162 * np.arange(6), 1e-300))  # ... over several cells
 @example((np.array([1e150, math.nextafter(1e150, math.inf)]), 1e-300))  # x / side overflows
 @example((np.array([0.0, 0.8 + 0.8j]), 1.0))  # one cell of side 0.8 would hold both
+@example((_chain(1.0 - 2.0**-30), 1.0))  # a search over thousands of steps
+@example((_chain(math.nextafter(1.0, 2.0)), 1.0))  # ... cut one ulp over the threshold
 def test_connected_matches_all_pairs(cloud):
     from toepasym.traces import _connected
 
@@ -204,11 +231,26 @@ def test_connected_matches_all_pairs_on_spectra(name, rational_symbol, two_block
          "zygmund": tp.zygmund_symbol(0.75, 5, seed=2),
          "zygmund9": tp.zygmund_symbol(0.75, 9)}[name]
     points = tp.estimate_spectrum(a).points
-    # 4851 points: thousands of cells, most with one point, at 1e-3; the
-    # larger thresholds would list millions of pairs in the reference
+    # 4851 points, almost none linked at 1e-3; the larger thresholds
+    # would list millions of pairs in the reference
     thresholds = (1e-3,) if name == "zygmund9" else (2.0, 0.5, 0.05, 0.01, 1e-3)
     for threshold in thresholds:
         assert _connected(points, threshold) == _all_pairs_connected(points, threshold)
+
+
+def test_connected_beyond_squared_float_range():
+    from toepasym.traces import _connected
+
+    # the threshold squared overflows: every pair is linked
+    assert _connected(np.array([0.0, 3.0, 1e200j, 1e300]), 1e200)
+    # the bounding box squared overflows while the threshold squared does not
+    t = 2.0**510
+    chain = t * np.arange(9.0)
+    assert _connected(chain + 0j, t)
+    assert not _connected(np.where(chain >= 5 * t, chain + t * 2.0**-40, chain) + 0j, t)
+    assert _connected(np.array([0.0, 1e154, 2e154]), 1.1e154)
+    assert not _connected(np.array([0.0, 1e154, 2e154]), 0.9e154)
+    assert not _connected(np.array([-1e308, 0.0, 1e308]), 1e154)
 
 
 def test_connected_memory_linear():
