@@ -3,8 +3,9 @@
 
 The right factors are analytic outside and inside the disk respectively;
 the normalization u_minus(inf) = I makes them unique.  The block path
-solves a finite Toeplitz system for the first column of the inverse, the
-scalar path splits the logarithm of the symbol.  Both agree.
+solves a finite Toeplitz system for the first column of the inverse, and
+a transposed solve on the same LU for the left factors; the scalar path
+splits the logarithm of the symbol.  Both agree.
 """
 import numpy as np
 

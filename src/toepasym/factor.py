@@ -1,15 +1,18 @@
 """Canonical Wiener-Hopf factorization of matrix symbols.
 
 Right factorization a = u_minus u_plus and left factorization
-a = v_plus v_minus, normalized by u_minus(inf) = I and f_minus(inf) = I
-(the left factors are inverses of the factors of a^-1).  The block path
-uses the finite section method: the first block column of T_m(a)^-1
-carries the coefficients of u_plus^-1, and its failure mode
-(ill-conditioning, large residuals) doubles as the detector for nonzero
-partial indices.
+a = v_plus v_minus, normalized by u_minus(inf) = I and v_minus(inf) = I
+(equivalently f_minus(inf) = I for a^-1 = f_minus f_plus, f_pm = v_pm^-1,
+as the normalization string has it).  The block path uses the finite
+section method: one LU of T_m(a) gives the first block column of
+T_m(a)^-1, which carries the coefficients of u_plus^-1, and, by a
+transposed solve, that of T_m(a^T)^-1, which carries the transposed
+coefficients of v_plus^-1.  Its failure mode (ill-conditioning, large
+residuals) doubles as the detector for nonzero partial indices.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,54 +157,69 @@ def scalar_wiener_hopf(a, cutoff=None):
 # ---------------------------------------------------------------------------
 # block path
 
+def _check_section(section):
+    if section < 1:
+        raise ValueError(f"section must be >= 1, got {section}")
+
+
 def _first_column_solve(a, m):
-    """Solve T_m(a) X = E_0; block rows of X are the u_plus^-1 coefficients."""
+    """The u_plus^-1 and v_plus^-1 coefficients of a from one LU of T_m(a).
+
+    The first block column of T_m(a)^-1 carries u_plus^-1.  Its transpose
+    a^T = v_minus^T v_plus^T is the right factorization of a^T, so the
+    first block column of T_m(a^T)^-1 carries (v_plus^T)^-1.  With J the
+    block flip, T_m(a^T) = J T_m(a)^T J: that column is the block-reversed
+    solution of T_m(a)^T Y = E_m, a transposed solve on the same LU.
+    """
     n = a.block_size
     t = toeplitz_section(a, m).data
-    anorm = float(np.linalg.norm(t, 1))
+    # both norms before the LU, so no |t| temporary sits beside its copy
+    norms = {"1": float(np.linalg.norm(t, 1)), "I": float(np.linalg.norm(t, np.inf))}
     try:
-        # toeplitz_section has checked that the entries are finite
-        lu, piv = scipy.linalg.lu_factor(t, check_finite=False)
+        # toeplitz_section has checked that the entries are finite; an
+        # exactly singular section warns here and fails the rcond check
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(t, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise IllConditionedSection(str(exc)) from exc
     gecon = scipy.linalg.get_lapack_funcs("gecon", (t,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0 or rcond < 1e-10:
-        raise IllConditionedSection(
-            f"section condition estimate {1.0 / max(rcond, 1e-300):.3e} exceeds 1e10")
+    # the "1" norm conditions the solve, the "I" norm the transposed one
+    for norm, anorm in norms.items():
+        rcond, info = gecon(lu, anorm, norm=norm)
+        if info != 0 or rcond < 1e-10:
+            raise IllConditionedSection(
+                f"section condition estimate {1.0 / max(rcond, 1e-300):.3e} exceeds 1e10")
     e0 = np.zeros(((m + 1) * n, n), dtype=complex)
     e0[:n, :n] = np.eye(n)
     x = scipy.linalg.lu_solve((lu, piv), e0)
-    coeffs = {j: x[j * n:(j + 1) * n, :] for j in range(m + 1)}
-    return _series_tail_trim(LaurentMatrixSeries(n, coeffs))
+    em = np.zeros_like(e0)
+    em[-n:, :] = np.eye(n)
+    y = scipy.linalg.lu_solve((lu, piv), em, trans=1)
+    uplus_inv = {j: x[j * n:(j + 1) * n, :] for j in range(m + 1)}
+    vplus_inv = {j: y[(m - j) * n:(m - j + 1) * n, :].T for j in range(m + 1)}
+    return (_series_tail_trim(LaurentMatrixSeries(n, uplus_inv)),
+            _series_tail_trim(LaurentMatrixSeries(n, vplus_inv)))
 
 
-def _right_factorization(a, m):
-    """Right factors of a with u_minus(inf) = I, plus the wrong-side leak."""
-    uplus_inv = _first_column_solve(a, m)
-    u_plus_raw = certified_inverse(uplus_inv, tol=1e-13)
-    u_plus_raw = _series_tail_trim(u_plus_raw)
-    u_plus, leak_p = _one_sided(u_plus_raw, "plus")
-    u_minus_raw = multiply(a, uplus_inv)
-    u_minus, leak_m = _one_sided(_series_tail_trim(u_minus_raw), "minus")
-    return u_plus, u_minus, max(leak_p, leak_m)
+def _side(series, side):
+    """Trim the round-off tail, then zero the wrong side (with its mass)."""
+    return _one_sided(_series_tail_trim(series), side)
 
 
 def _block_wh_once(a, m):
-    u_plus, u_minus, leak_right = _right_factorization(a, m)
-    # left factorization through a^-1 = f_minus f_plus, v_pm = f_pm^-1
-    ainv = certified_inverse(a, tol=1e-13)
-    fplus_inv = _first_column_solve(ainv, m)  # this is v_plus directly
-    v_plus, leak_vp = _one_sided(fplus_inv, "plus")
-    f_minus_raw = multiply(ainv, fplus_inv)
-    f_minus, leak_fm = _one_sided(_series_tail_trim(f_minus_raw), "minus")
-    v_minus_raw = certified_inverse(f_minus, tol=1e-13)
-    v_minus, leak_vm = _one_sided(_series_tail_trim(v_minus_raw), "minus")
-    leakage = max(leak_right, leak_vp, leak_fm, leak_vm)
+    uplus_inv, vplus_inv = _first_column_solve(a, m)
+    u_plus, leak_up = _side(certified_inverse(uplus_inv, tol=1e-13), "plus")
+    u_minus, leak_um = _side(multiply(a, uplus_inv), "minus")
+    # v_minus = v_plus^-1 a reads only the first W + 1 blocks of the column
+    # (W the bandwidth of a), and v_plus = a v_minus^-1 only v_minus, so the
+    # finite-section error in the far blocks never reaches the left factors
+    v_minus, leak_vm = _side(multiply(vplus_inv, a), "minus")
+    v_plus, leak_vp = _side(multiply(a, certified_inverse(v_minus, tol=1e-13)), "plus")
     diag = FactorDiagnostics(
         product_residual_right=_product_residual(u_minus, u_plus, a),
         product_residual_left=_product_residual(v_plus, v_minus, a),
-        leakage=leakage,
+        leakage=max(leak_up, leak_um, leak_vm, leak_vp),
         inverse_margin=_factors_margin((u_minus, u_plus, v_plus, v_minus)))
     return WHFactors(u_minus=u_minus, u_plus=u_plus,
                      v_plus=v_plus, v_minus=v_minus, residuals=diag)
@@ -210,11 +228,17 @@ def _block_wh_once(a, m):
 def block_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
     """Finite-section canonical factorization of a matrix symbol.
 
-    Solves T_m(a) X = E_0 for the right factors and repeats the procedure
-    on a^-1 for the left ones.  If the product residuals or the one-sided
-    leakage exceed ``tol``, the section is doubled once; persistent
-    failure raises NonCanonical (the symptom of nonzero partial indices).
+    One LU of T_m(a) gives both factorizations: the solve T_m(a) X = E_0
+    yields u_plus^-1, and the transposed solve on the same LU yields
+    v_plus^-1 (see _first_column_solve).  Then u_plus = (u_plus^-1)^-1,
+    u_minus = a u_plus^-1, v_minus = v_plus^-1 a and v_plus = a v_minus^-1.
+    If the product residuals or the one-sided leakage exceed ``tol``, the
+    section is doubled once; persistent failure raises NonCanonical (the
+    symptom of nonzero partial indices).  A section whose condition
+    estimate exceeds 1e10 raises IllConditionedSection, and a section
+    below 1 raises ValueError.
     """
+    _check_section(section)
     last = None
     for m in (section, 2 * section):
         w = _block_wh_once(a, m)
@@ -232,6 +256,7 @@ def block_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
 
 def canonical_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
     """Dispatch to the scalar or block factorization path."""
+    _check_section(section)
     if a.block_size == 1:
         return scalar_wiener_hopf(a)
     return block_wiener_hopf(a, section=section, tol=tol)

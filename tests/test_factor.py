@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import toepasym as tp
+from toepasym import factor
 
 
 def _sup_diff(x, y):
@@ -78,6 +84,111 @@ def test_section_doubling_stability(two_block_symbol):
     for a, b in ((w1.u_minus, w2.u_minus), (w1.u_plus, w2.u_plus),
                  (w1.v_plus, w2.v_plus), (w1.v_minus, w2.v_minus)):
         assert _sup_diff(a, b) <= 1e-8
+
+
+def test_fixture_left_factors_exact(two_block_symbol):
+    # v_plus = I - 0.5 R' t and v_minus = c (I - 0.5 R'' / t) for some
+    # constant blocks: no round-off tails survive the trims
+    w = tp.block_wiener_hopf(two_block_symbol, section=256)
+    assert w.v_plus.support() == [0, 1]
+    assert w.v_minus.support() == [-1, 0]
+    assert w.residuals.product_residual_left <= 1e-14
+
+
+def test_one_lu_per_section_pass(monkeypatch, two_block_symbol):
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    tp.block_wiener_hopf(two_block_symbol, section=64)
+    assert calls == [(130, 130)]
+    # tolerance zero fails both passes, the second on the doubled section
+    del calls[:]
+    with pytest.raises(tp.NonCanonical):
+        tp.block_wiener_hopf(two_block_symbol, section=64, tol=0.0)
+    assert calls == [(130, 130), (258, 258)]
+
+
+@pytest.mark.parametrize("section", [0, -1])
+def test_section_below_one_rejected_before_any_work(monkeypatch, section,
+                                                    two_block_symbol, rational_symbol):
+    def fail(*args, **kwargs):
+        raise AssertionError("section was assembled")
+
+    monkeypatch.setattr(factor, "toeplitz_section", fail)
+    with pytest.raises(ValueError, match="section must be >= 1"):
+        tp.block_wiener_hopf(two_block_symbol, section=section)
+    with pytest.raises(ValueError, match="section must be >= 1"):
+        tp.canonical_wiener_hopf(rational_symbol, section=section)
+
+
+def _partial_index_symbols():
+    t, t_inv = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    upper = np.array([[0.0, 1.0], [0.0, 0.0]])
+    return {"diag(t, 1/t)": tp.LaurentMatrixSeries(2, {1: t, -1: t_inv}),
+            "[[t, 1], [0, 1/t]]": tp.LaurentMatrixSeries(2, {1: t, -1: t_inv, 0: upper}),
+            "diag(t, 1/t) + 0.1 I": tp.LaurentMatrixSeries(2, {1: t, -1: t_inv,
+                                                                0: 0.1 * np.eye(2)})}
+
+
+@pytest.mark.parametrize("name", list(_partial_index_symbols()))
+def test_nonzero_partial_indices_raise_ill_conditioned_section(name):
+    # partial indices (1, -1): the sections are singular or nearly so, and
+    # the typed error comes without a LinAlgWarning from the LU
+    a = _partial_index_symbols()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tp.IllConditionedSection):
+            tp.block_wiener_hopf(a, section=16)
+
+
+def _left_factors_through_inverse(a, m):
+    """Reference left factors from the right factorization of a^-1 =
+    f_minus f_plus, with v_plus = f_plus^-1 and v_minus = f_minus^-1."""
+    from toepasym.factor import _first_column_solve, _one_sided, _series_tail_trim
+    ainv = tp.certified_inverse(a, tol=1e-13)
+    v_plus, _ = _first_column_solve(ainv, m)
+    f_minus, _ = _one_sided(_series_tail_trim(tp.multiply(ainv, v_plus)), "minus")
+    return v_plus, tp.certified_inverse(f_minus, tol=1e-13)
+
+
+@st.composite
+def _canonical_block_symbols(draw):
+    """Symbols of block size 1-3 with offsets in -2..2, made canonical by an
+    offset-0 block at least three times the sum of the others' norms.  The
+    factors then decay at least like 3^(-j/2), so the truncation error of a
+    section 64 stays below round-off."""
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    coeffs = {}
+    for k in draw(st.lists(st.integers(-2, 2), unique=True, min_size=1, max_size=5)):
+        parts = draw(st.lists(entries, min_size=2 * n * n, max_size=2 * n * n))
+        re, im = np.reshape(parts, (2, n, n))
+        coeffs[k] = re + 1j * im
+    others = sum(np.linalg.norm(blk, 2) for k, blk in coeffs.items() if k != 0)
+    coeffs[0] = coeffs.get(0, 0) + (3.0 * others + draw(st.floats(0.5, 2.0))) * np.eye(n)
+    return tp.LaurentMatrixSeries(n, coeffs)
+
+
+@given(_canonical_block_symbols())
+def test_block_factors_multiply_back_one_sided_and_normalized(a):
+    m = 64
+    w = tp.block_wiener_hopf(a, section=m)
+    grid = a.sample(256).samples
+    for left, right in ((w.u_minus, w.u_plus), (w.v_plus, w.v_minus)):
+        prod = left.sample(256).samples @ right.sample(256).samples
+        assert float(np.max(np.abs(prod - grid))) <= 1e-9
+    assert all(k <= 0 for k in w.u_minus.support() + w.v_minus.support())
+    assert all(k >= 0 for k in w.u_plus.support() + w.v_plus.support())
+    eye = np.eye(a.block_size)
+    np.testing.assert_allclose(w.u_minus.block(0), eye, atol=1e-9)
+    np.testing.assert_allclose(w.v_minus.block(0), eye, atol=1e-9)
+    for got, ref in zip((w.v_plus, w.v_minus), _left_factors_through_inverse(a, m)):
+        assert _sup_diff(got, ref) <= 1e-8
 
 
 def test_correction_symbols_geometric(rational_symbol):
