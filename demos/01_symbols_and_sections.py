@@ -27,9 +27,9 @@ print(f"  discarded tail energy: {tail:.2e}")
 # Toeplitz section T_n(a) has block (j, k) = a_{j-k}; the Hankel section
 # H(a) has block (j, k) = a_{j+k+1} and feels only positive offsets.
 print("\nT_1(a) =")
-print(tp.toeplitz_section(a, 1).data.real)
+print(tp.toeplitz_section(a, 1).real)
 print("H(a) 2x2 section =")
-print(tp.hankel_section(a, 2).data.real)
+print(tp.hankel_section(a, 2).real)
 
 # For this symbol det T_n(a) has the closed form (1 - 0.25^(n+2)) / 0.75.
 print("\nlog det T_n(a) against the closed form:")

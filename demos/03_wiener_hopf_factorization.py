@@ -36,7 +36,6 @@ print("\n2x2 fixture at section 256:")
 print(f"  product residual (right): {w2.residuals.product_residual_right:.2e}")
 print(f"  product residual (left):  {w2.residuals.product_residual_left:.2e}")
 print(f"  one-sided leakage:        {w2.residuals.leakage:.2e}")
-print(f"  pointwise inverse margin: {w2.residuals.inverse_margin:.3f}")
 
 # The mismatch symbols b = v_minus u_plus^-1 and c = u_minus^-1 v_plus feed
 # the determinant correction terms.

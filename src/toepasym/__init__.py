@@ -31,16 +31,15 @@ from .functions import (AnalyticFunction, SQUARE, exponential,
                         rational)
 from .symbol import (LaurentMatrixSeries, SymbolGrid, add_constant,
                      certified_inverse, coefficients_from_samples,
-                     constant_symbol, evaluate, identity_symbol, krein_norm,
-                     load_symbol, multiply, reverse, save_symbol,
-                     scalar_symbol, symbol_from_json, symbol_to_json,
-                     winding_number, zygmund_symbol)
-from .toeplitz import (BlockMatrix, CorrectionTerm, TruncationNorms,
-                       correction_term, hankel_section, log_det_direct,
-                       log_det_scan, toeplitz_section, trace_f_direct,
-                       truncation_norms)
+                     constant_symbol, evaluate, identity_symbol, load_symbol,
+                     multiply, reverse, save_symbol, scalar_symbol,
+                     symbol_from_json, symbol_to_json, winding_number,
+                     zygmund_symbol)
+from .toeplitz import (CorrectionTerm, TruncationNorms, correction_term,
+                       hankel_section, log_det_direct, log_det_scan,
+                       toeplitz_section, trace_f_direct, truncation_norms)
 from .traces import (ContourSpec, SpectrumEstimate, build_contour,
-                     estimate_spectrum, trace_asymptotic, trace_constant,
-                     trace_mean, trace_remainder_scan)
+                     estimate_spectrum, trace_constant, trace_mean,
+                     trace_remainder_scan)
 
 __version__ = "0.1.0"

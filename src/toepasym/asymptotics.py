@@ -69,8 +69,8 @@ def szego_constant(a):
     if band > 4096:
         raise NoConvergence(f"szego_constant: bandwidth {band} exceeds the corner cap 4096")
     ainv_rev = reverse(certified_inverse(a, tol=1e-14))
-    ha = hankel_section(a, band).data
-    hc = hankel_section(ainv_rev, band).data
+    ha = hankel_section(a, band)
+    hc = hankel_section(ainv_rev, band)
     return complex(np.linalg.det(np.eye(ha.shape[0]) - ha @ hc))
 
 

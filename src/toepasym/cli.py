@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from . import asymptotics, approx, factor, symbol, toeplitz, traces
 from .errors import ConfigInvalid, ToepasymError
@@ -48,25 +47,10 @@ def parse_n_grid(spec):
         return out
     if kind == "linear":
         step = int(parts[3]) if len(parts) == 4 else max(1, (hi - lo) // 16)
+        if step < 1:
+            raise ConfigInvalid(f"n-grid step in {spec!r} must be >= 1")
         return list(range(lo, hi + 1, step))
     raise ConfigInvalid(f"unknown n-grid kind {kind!r}")
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated invocation of one subcommand."""
-
-    operation: str
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        grid = self.options.get("n_grid")
-        if grid is not None and not grid:
-            raise ConfigInvalid("empty n grid")
-        paths = [p for p in (self.options.get("output"),
-                             self.options.get("fit_output")) if p]
-        if len(paths) != len(set(paths)):
-            raise ConfigInvalid("output paths must be distinct")
 
 
 def _open_output(path):
@@ -94,29 +78,29 @@ def _pmap(fn, items, threads):
 # ---------------------------------------------------------------------------
 # handlers
 
-def _cmd_gen_symbol(opt):
-    if opt["zygmund"] is not None:
-        a = symbol.zygmund_symbol(opt["zygmund"], opt["levels"], seed=opt["seed"])
-    elif opt["rational"] is not None:
-        rho = opt["rational"]
+def _cmd_gen_symbol(args):
+    if args.zygmund is not None:
+        a = symbol.zygmund_symbol(args.zygmund, args.levels, seed=args.seed)
+    elif args.rational is not None:
+        rho = args.rational
         a = symbol.scalar_symbol({0: 1 + rho * rho, 1: -rho, -1: -rho})
-    elif opt["two_block"] is not None:
-        rho, eps = opt["two_block"]
+    elif args.two_block is not None:
+        rho, eps = args.two_block
         import numpy as np
         r = np.array([[1.0, eps], [0.0, 1.0]])
         a = symbol.LaurentMatrixSeries(2, {0: (1 + rho * rho) * np.eye(2),
                                            1: -rho * r, -1: -rho * r.T})
     else:
         raise ConfigInvalid("choose one of --zygmund, --rational, --two-block")
-    _emit(opt["output"], symbol.symbol_to_json(a))
+    _emit(args.output, symbol.symbol_to_json(a))
     return 0
 
 
-def _cmd_factor(opt):
-    a = symbol.load_symbol(opt["symbol"])
-    w = factor.canonical_wiener_hopf(a, section=opt["m"])
-    prefix = opt["output"]
-    if opt["left"]:
+def _cmd_factor(args):
+    a = symbol.load_symbol(args.symbol)
+    w = factor.canonical_wiener_hopf(a, section=args.m)
+    prefix = args.output
+    if args.left:
         parts = {"v_plus": w.v_plus, "v_minus": w.v_minus}
     else:
         parts = {"u_minus": w.u_minus, "u_plus": w.u_plus}
@@ -127,7 +111,8 @@ def _cmd_factor(opt):
         "product_residual_right": w.residuals.product_residual_right,
         "product_residual_left": w.residuals.product_residual_left,
         "leakage": w.residuals.leakage,
-        "inverse_margin": w.residuals.inverse_margin,
+        "inverse_margin": factor._factors_margin(
+            (w.u_minus, w.u_plus, w.v_plus, w.v_minus)),
     }
     with open(f"{prefix}_report.json", "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -135,33 +120,33 @@ def _cmd_factor(opt):
     return 0
 
 
-def _scan_values(opt):
-    lo, hi, step = opt["n_min"], opt["n_max"], opt["step"]
+def _scan_values(args):
+    lo, hi, step = args.n_min, args.n_max, args.step
     if lo < 0 or hi < lo or step < 1:
         raise ConfigInvalid("need 0 <= n-min <= n-max and step >= 1")
     return list(range(lo, hi + 1, step))
 
 
-def _cmd_logdet_scan(opt):
-    a = symbol.load_symbol(opt["symbol"])
-    ns = _scan_values(opt)
+def _cmd_logdet_scan(args):
+    a = symbol.load_symbol(args.symbol)
+    ns = _scan_values(args)
     vals = toeplitz.log_det_scan(a, ns)
     lines = ["n,re_logdet,im_logdet"]
     for n, v in zip(ns, vals):
         lines.append(f"{n},{_fmt(v.real)},{_fmt(v.imag)}")
-    _emit(opt["output"], "\n".join(lines) + "\n")
+    _emit(args.output, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_trace_scan(opt):
-    a = symbol.load_symbol(opt["symbol"])
-    f = parse_function_spec(opt["f"])
-    ns = _scan_values(opt)
-    vals = _pmap(lambda n: toeplitz.trace_f_direct(a, n, f), ns, opt["threads"])
+def _cmd_trace_scan(args):
+    a = symbol.load_symbol(args.symbol)
+    f = parse_function_spec(args.f)
+    ns = _scan_values(args)
+    vals = _pmap(lambda n: toeplitz.trace_f_direct(a, n, f), ns, args.threads)
     lines = ["n,re,im"]
     for n, v in zip(ns, vals):
         lines.append(f"{n},{_fmt(v.real)},{_fmt(v.imag)}")
-    _emit(opt["output"], "\n".join(lines) + "\n")
+    _emit(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -170,9 +155,9 @@ _EXPAND_HEADER = ("n,p,log_g_re,log_g_im,correction_re,correction_im,"
                   "direct_re,direct_im,residual_re,residual_im,residual_abs")
 
 
-def _cmd_expand(opt):
-    a = symbol.load_symbol(opt["symbol"])
-    reports = asymptotics.logdet_expansion_scan(a, opt["n_grid"], p=opt["p"])
+def _cmd_expand(args):
+    a = symbol.load_symbol(args.symbol)
+    reports = asymptotics.logdet_expansion_scan(a, args.n_grid, p=args.p)
     lines = [_EXPAND_HEADER]
     for r in reports:
         lines.append(",".join([
@@ -185,19 +170,19 @@ def _cmd_expand(opt):
             _fmt(r.residual.real), _fmt(r.residual.imag),
             _fmt(abs(r.residual)),
         ]))
-    _emit(opt["output"], "\n".join(lines) + "\n")
+    _emit(args.output, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_widom_trace(opt):
-    a = symbol.load_symbol(opt["symbol"])
-    f = parse_function_spec(opt["f"])
-    ns = opt["n_grid"]
-    spectrum = traces.estimate_spectrum(a, m=opt["spectrum_m"])
-    contour = traces.build_contour(spectrum, opt["margin"], nodes=opt["nodes"])
+def _cmd_widom_trace(args):
+    a = symbol.load_symbol(args.symbol)
+    f = parse_function_spec(args.f)
+    ns = args.n_grid
+    spectrum = traces.estimate_spectrum(a, m=args.spectrum_m)
+    contour = traces.build_contour(spectrum, args.margin, nodes=args.nodes)
     gf = traces.trace_mean(a, f)
     ef = traces.trace_constant(a, f, contour)
-    directs = _pmap(lambda n: toeplitz.trace_f_direct(a, n, f), ns, opt["threads"])
+    directs = _pmap(lambda n: toeplitz.trace_f_direct(a, n, f), ns, args.threads)
     lines = ["n,direct_re,direct_im,asymptotic_re,asymptotic_im,residual_abs"]
     mags = []
     for n, d in zip(ns, directs):
@@ -206,79 +191,58 @@ def _cmd_widom_trace(opt):
         lines.append(",".join([str(n), _fmt(d.real), _fmt(d.imag),
                                _fmt(pred.real), _fmt(pred.imag),
                                _fmt(abs(d - pred))]))
-    _emit(opt["output"], "\n".join(lines) + "\n")
+    _emit(args.output, "\n".join(lines) + "\n")
     target = None
     if a.smoothness_tag is not None:
         target = -(2.0 * a.smoothness_tag - 1.0) + 0.3
     fit = fit_decay(ns, mags, target_slope=target)
-    _emit(opt["fit_output"], json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n")
+    _emit(args.fit_output, json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def _cmd_decay_fit(opt):
-    with open(opt["input"], "r", encoding="ascii") as fh:
+def _cmd_decay_fit(args):
+    with open(args.input, "r", encoding="ascii") as fh:
         rows = fh.read().strip().splitlines()
     header = rows[0].split(",")
     try:
-        ncol = header.index(opt["n_column"])
-        mcol = header.index(opt["column"])
+        ncol = header.index(args.n_column)
+        mcol = header.index(args.column)
     except ValueError as exc:
         raise ConfigInvalid(
-            f"columns {opt['n_column']!r}/{opt['column']!r} not in {header}") from exc
+            f"columns {args.n_column!r}/{args.column!r} not in {header}") from exc
     ns, mags = [], []
     for row in rows[1:]:
         cells = row.split(",")
         ns.append(int(cells[ncol]))
         mags.append(float(cells[mcol]))
     fit = fit_decay(ns, mags)
-    _emit(opt["output"], json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n")
+    _emit(args.output, json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def _cmd_approx_scan(opt):
-    a = symbol.load_symbol(opt["symbol"])
-    gamma = opt["gamma"]
-    ns = opt["n_grid"]
+def _cmd_approx_scan(args):
+    a = symbol.load_symbol(args.symbol)
+    gamma = args.gamma
+    ns = args.n_grid
     errors = [approx.near_best_approximation(a, n)[1] for n in ns]
     cbound = max(e * n**gamma for n, e in zip(ns, errors))
     lines = ["n,error,bound"]
     for n, e in zip(ns, errors):
         lines.append(f"{n},{_fmt(e)},{_fmt(cbound * n ** (-gamma))}")
-    _emit(opt["output"], "\n".join(lines) + "\n")
+    _emit(args.output, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_smoothness(opt):
-    a = symbol.load_symbol(opt["symbol"])
-    report = approx.jackson_decay_check(a, opt["gamma"], opt["n_grid"])
+def _cmd_smoothness(args):
+    a = symbol.load_symbol(args.symbol)
+    report = approx.jackson_decay_check(a, args.gamma, args.n_grid)
     payload = {
         "gamma_estimate": report.gamma_estimate,
         "per_n_errors": [[int(n), float(e)] for n, e in report.per_n_errors],
         "seminorm_estimate": report.seminorm_estimate,
     }
-    _emit(opt["output"], json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
-
-
-_HANDLERS = {
-    "gen-symbol": _cmd_gen_symbol,
-    "factor": _cmd_factor,
-    "logdet-scan": _cmd_logdet_scan,
-    "trace-scan": _cmd_trace_scan,
-    "expand": _cmd_expand,
-    "widom-trace": _cmd_widom_trace,
-    "decay-fit": _cmd_decay_fit,
-    "approx-scan": _cmd_approx_scan,
-    "smoothness": _cmd_smoothness,
-}
-
-
-def run(config):
-    """Execute a validated configuration; returns the exit status."""
-    handler = _HANDLERS.get(config.operation)
-    if handler is None:
-        raise ConfigInvalid(f"unknown operation {config.operation!r}")
-    return handler(config.options)
 
 
 def build_parser():
@@ -292,6 +256,7 @@ def build_parser():
                        help="worker threads for scan points (default: all cores)")
 
     p = sub.add_parser("gen-symbol", help="write a test symbol as JSON")
+    p.set_defaults(handler=_cmd_gen_symbol)
     p.add_argument("--zygmund", type=float, metavar="GAMMA")
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--seed", type=int, default=None)
@@ -300,6 +265,7 @@ def build_parser():
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("factor", help="canonical Wiener-Hopf factorization")
+    p.set_defaults(handler=_cmd_factor)
     p.add_argument("--symbol", required=True)
     p.add_argument("--left", action="store_true",
                    help="write the left factors instead of the right ones")
@@ -307,6 +273,7 @@ def build_parser():
     p.add_argument("-o", "--output", required=True, metavar="PREFIX")
 
     p = sub.add_parser("logdet-scan", help="log det T_n over a range of n")
+    p.set_defaults(handler=_cmd_logdet_scan)
     p.add_argument("--symbol", required=True)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
@@ -315,6 +282,7 @@ def build_parser():
     add_common(p)
 
     p = sub.add_parser("trace-scan", help="tr f(T_n) over a range of n")
+    p.set_defaults(handler=_cmd_trace_scan)
     p.add_argument("--symbol", required=True)
     p.add_argument("--f", required=True,
                    help="square | exp | log | poly:c0,c1,...")
@@ -325,6 +293,7 @@ def build_parser():
     add_common(p)
 
     p = sub.add_parser("expand", help="determinant expansion reports")
+    p.set_defaults(handler=_cmd_expand)
     p.add_argument("--symbol", required=True)
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--n-grid", required=True, metavar="MIN:MAX:KIND")
@@ -332,6 +301,7 @@ def build_parser():
     add_common(p)
 
     p = sub.add_parser("widom-trace", help="trace asymptotics versus dense values")
+    p.set_defaults(handler=_cmd_widom_trace)
     p.add_argument("--symbol", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--n-grid", required=True, metavar="MIN:MAX:KIND")
@@ -343,18 +313,21 @@ def build_parser():
     add_common(p)
 
     p = sub.add_parser("decay-fit", help="log-log fit of a scan CSV column")
+    p.set_defaults(handler=_cmd_decay_fit)
     p.add_argument("--input", required=True)
     p.add_argument("--column", default="residual_abs")
     p.add_argument("--n-column", default="n")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("approx-scan", help="near-best approximation errors")
+    p.set_defaults(handler=_cmd_approx_scan)
     p.add_argument("--symbol", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n-grid", required=True, metavar="MIN:MAX:KIND")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("smoothness", help="smoothness report as JSON")
+    p.set_defaults(handler=_cmd_smoothness)
     p.add_argument("--symbol", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--n-grid", required=True, metavar="MIN:MAX:KIND")
@@ -363,19 +336,14 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    options = {k: v for k, v in vars(args).items() if k != "command"}
-    if "n_grid" in options and isinstance(options["n_grid"], str):
-        options["n_grid"] = parse_n_grid(options["n_grid"])
-    return ExperimentConfig(operation=args.command, options=options)
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        if hasattr(args, "n_grid"):
+            args.n_grid = parse_n_grid(args.n_grid)
+        if args.output and args.output == getattr(args, "fit_output", None):
+            raise ConfigInvalid("output paths must be distinct")
+        return args.handler(args)
     except ToepasymError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

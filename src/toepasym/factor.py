@@ -33,7 +33,6 @@ class FactorDiagnostics:
     product_residual_right: float
     product_residual_left: float
     leakage: float
-    inverse_margin: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +95,7 @@ def _product_residual(left, right, target):
 
 
 def _factors_margin(factors):
+    """Smallest singular value of any factor's samples on their common grid."""
     m = _common_grid(factors)
     worst = np.inf
     for f in factors:
@@ -147,8 +147,7 @@ def scalar_wiener_hopf(a, cutoff=None):
     residual = _product_residual(u_minus, u_plus, a)
     diag = FactorDiagnostics(product_residual_right=residual,
                              product_residual_left=residual,
-                             leakage=leakage,
-                             inverse_margin=_factors_margin((u_minus, u_plus)))
+                             leakage=leakage)
     # scalar factors commute, so the left factorization reuses them
     return WHFactors(u_minus=u_minus, u_plus=u_plus,
                      v_plus=u_plus, v_minus=u_minus, residuals=diag)
@@ -172,11 +171,12 @@ def _first_column_solve(a, m):
     solution of T_m(a)^T Y = E_m, a transposed solve on the same LU.
     """
     n = a.block_size
-    t = toeplitz_section(a, m).data
+    t = toeplitz_section(a, m)
     # both norms before the LU, so no |t| temporary sits beside its copy
     norms = {"1": float(np.linalg.norm(t, 1)), "I": float(np.linalg.norm(t, np.inf))}
     try:
-        # toeplitz_section has checked that the entries are finite; an
+        # the section copies blocks of a LaurentMatrixSeries, whose
+        # construction (_normalize_coeffs) rejects non-finite blocks; an
         # exactly singular section warns here and fails the rcond check
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -219,8 +219,7 @@ def _block_wh_once(a, m):
     diag = FactorDiagnostics(
         product_residual_right=_product_residual(u_minus, u_plus, a),
         product_residual_left=_product_residual(v_plus, v_minus, a),
-        leakage=max(leak_up, leak_um, leak_vm, leak_vp),
-        inverse_margin=_factors_margin((u_minus, u_plus, v_plus, v_minus)))
+        leakage=max(leak_up, leak_um, leak_vm, leak_vp))
     return WHFactors(u_minus=u_minus, u_plus=u_plus,
                      v_plus=v_plus, v_minus=v_minus, residuals=diag)
 

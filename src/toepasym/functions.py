@@ -74,7 +74,6 @@ def rational(numerator, denominator, pole_margin=1e-6):
 
 
 SQUARE = polynomial((0.0, 0.0, 1.0), name="square")
-IDENTITY = polynomial((0.0, 1.0), name="identity")
 
 
 def parse_function_spec(spec):

@@ -473,15 +473,6 @@ def certified_inverse(a, tol=1e-13):
     return series
 
 
-# ---------------------------------------------------------------------------
-# diagnostics
-
-def krein_norm(a):
-    """sum_k ||a_k||^2 (|k| + 1) with the maximum entry norm."""
-    return float(sum(np.max(np.abs(blk)) ** 2 * (abs(k) + 1)
-                     for k, blk in a.coeffs.items()))
-
-
 def _zero_winding_log(values, rel_floor=1e-12):
     """Branch-continuous log samples along a closed sampled curve.
 

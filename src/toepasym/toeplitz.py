@@ -17,42 +17,6 @@ from .errors import EigFailure, NumericallySingularSection, TruncationTooSmall
 from .symbol import _block_maxima, _sum_in_order
 
 
-@dataclass(frozen=True, eq=False)
-class BlockMatrix:
-    """Dense complex matrix with block bookkeeping."""
-
-    data: np.ndarray
-    block_size: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("BlockMatrix needs a 2-d array")
-        n = self.block_size
-        if arr.shape[0] % n or arr.shape[1] % n:
-            raise ValueError(f"shape {arr.shape} not divisible by block size {n}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def block_rows(self):
-        return self.data.shape[0] // self.block_size
-
-    @property
-    def block_cols(self):
-        return self.data.shape[1] // self.block_size
-
-    def block(self, i, j):
-        n = self.block_size
-        return self.data[i * n:(i + 1) * n, j * n:(j + 1) * n]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.data, dtype=dtype)
-
-
 def _offset_table(a, lo, hi):
     """Blocks of a at offsets lo..hi as one (hi-lo+1, N, N) array."""
     n = a.block_size
@@ -72,10 +36,12 @@ def _assemble(table, idx, lo):
 
 
 def _window_matrix(windows):
-    """Block matrix whose (j, k) block is windows[j, :, :, k], for a
-    window view of an offset table: the reshape is the only copy."""
+    """Read-only block matrix whose (j, k) block is windows[j, :, :, k],
+    for a window view of an offset table: the reshape is the only copy."""
     rows, n, _, cols = windows.shape
-    return windows.transpose(0, 1, 3, 2).reshape(rows * n, cols * n)
+    out = windows.transpose(0, 1, 3, 2).reshape(rows * n, cols * n)
+    out.setflags(write=False)
+    return out
 
 
 def toeplitz_section(a, n):
@@ -84,7 +50,7 @@ def toeplitz_section(a, n):
         raise ValueError("n must be nonnegative")
     # window j holds offsets j-n..j, reversed so that k runs from offset j down
     windows = sliding_window_view(_offset_table(a, -n, n), n + 1, axis=0)[..., ::-1]
-    return BlockMatrix(_window_matrix(windows), a.block_size)
+    return _window_matrix(windows)
 
 
 def hankel_section(a, m):
@@ -95,7 +61,7 @@ def hankel_section(a, m):
     if m < 1:
         raise ValueError("m must be positive")
     windows = sliding_window_view(_offset_table(a, 1, 2 * m - 1), m, axis=0)
-    return BlockMatrix(_window_matrix(windows), a.block_size)
+    return _window_matrix(windows)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +163,8 @@ def _logdet_lu(matrix, rcond_floor=1e-12):
         with warnings.catch_warnings():
             # zero pivots raise NumericallySingularSection below
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            # the matrix is BlockMatrix data, whose entries are checked finite
+            # the matrix copies blocks of a LaurentMatrixSeries, whose
+            # construction (_normalize_coeffs) rejects non-finite blocks
             lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericallySingularSection(str(exc)) from exc
@@ -218,7 +185,7 @@ def _logdet_lu(matrix, rcond_floor=1e-12):
 
 def log_det_direct(a, n):
     """Principal-branch log det of the dense (n+1) block section."""
-    return _logdet_lu(toeplitz_section(a, n).data)
+    return _logdet_lu(toeplitz_section(a, n))
 
 
 def log_det_scan(a, n_values):
@@ -239,9 +206,8 @@ def log_det_scan(a, n_values):
 
 def trace_f_direct(a, n, f):
     """sum_i f(lambda_i) over the eigenvalues of the dense section."""
-    data = toeplitz_section(a, n).data
     try:
-        evals = np.linalg.eigvals(data)
+        evals = np.linalg.eigvals(toeplitz_section(a, n))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
     if hasattr(f, "check"):

@@ -78,8 +78,8 @@ def estimate_spectrum(a, m=64, interior_grid=25):
     if m < 64:
         raise ValueError("section size m must be >= 64")
     try:
-        ev_plus = np.linalg.eigvals(toeplitz_section(a, m).data)
-        ev_minus = np.linalg.eigvals(toeplitz_section(reverse(a), m).data)
+        ev_plus = np.linalg.eigvals(toeplitz_section(a, m))
+        ev_minus = np.linalg.eigvals(toeplitz_section(reverse(a), m))
         samples = a.sample().samples
         ev_symbol = (samples[:, 0, 0] if a.block_size == 1
                      else np.linalg.eigvals(samples).ravel())
@@ -274,7 +274,7 @@ def trace_constant(a, f, contour):
 
     hats = _refine(step, max(a.grid_size, default_grid_size(2 * band)),
                    max(a.grid_size, 1 << 15), 1e-13)
-    ha = hankel_section(a, band).data
+    ha = hankel_section(a, band)
     eye = np.eye(band * n)
     j = np.arange(band)
     idx = -(j[:, None] + j[None, :] + 1)  # FFT bins of offsets -(j+k+1)
@@ -291,13 +291,6 @@ def trace_constant(a, f, contour):
                     f"determinant representation singular at lambda={lam:.6g}") from exc
             total += weight * fv * np.trace(solved)
     return complex(total / (2j * np.pi))
-
-
-def trace_asymptotic(a, n, f, contour):
-    """(n+1) trace_mean(a, f) + trace_constant(a, f, contour)."""
-    gf = trace_mean(a, f)
-    ef = trace_constant(a, f, contour)
-    return (n + 1) * gf + ef
 
 
 def trace_remainder_scan(a, f, n_grid, contour):

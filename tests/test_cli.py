@@ -182,6 +182,8 @@ def test_cli_error_mapping(tmp_path, capsys):
     (["widom-trace", "--f", "square", "--n-grid", "4:16:geometric", "--margin", "nan"],
      "margin must be positive and finite"),
     (["factor", "--m", "0"], "section must be >= 1"),
+    (["expand", "--n-grid", "8:16:linear:0"], "n-grid step in '8:16:linear:0' must be >= 1"),
+    (["expand", "--n-grid", "8:16:linear:-1"], "n-grid step in '8:16:linear:-1' must be >= 1"),
 ])
 def test_out_of_range_values_exit_config_invalid(tmp_path, capsys, argv, detail):
     sym = tmp_path / "s.json"
@@ -192,6 +194,18 @@ def test_out_of_range_values_exit_config_invalid(tmp_path, capsys, argv, detail)
     assert code == tp.ConfigInvalid.exit_code
     assert err.startswith("ConfigInvalid: ") and detail in err
     assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_widom_trace_shared_output_path_exits_config_invalid(tmp_path, capsys):
+    sym = tmp_path / "s.json"
+    run_cli(capsys, "gen-symbol", "--rational", "0.5", "-o", str(sym))
+    out = tmp_path / "x"
+    code, stdout, err = run_cli(capsys, "widom-trace", "--symbol", str(sym), "--f", "square",
+                                "--n-grid", "4:16:geometric", "-o", str(out),
+                                "--fit-out", str(out))
+    assert code == 2
+    assert err == "ConfigInvalid: output paths must be distinct\n"
+    assert stdout == "" and not out.exists()
 
 
 def test_symbol_file_with_nan_exits_config_invalid(tmp_path, capsys):

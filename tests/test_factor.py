@@ -60,7 +60,7 @@ def test_block_two_by_two_fixture(two_block_symbol):
     assert r.product_residual_right <= 1e-8
     assert r.product_residual_left <= 1e-8
     assert r.leakage <= 1e-8
-    assert r.inverse_margin > 0
+    assert factor._factors_margin((w.u_minus, w.u_plus, w.v_plus, w.v_minus)) > 0
     assert abs(np.linalg.det(w.u_plus.block(0))) > 0.01
 
 
@@ -244,6 +244,21 @@ def test_sweep_far_contour_neumann_regime(rational_symbol):
     assert sweep.continuity_diagnostic < 0.1
     for w in sweep.factors:
         assert _sup_diff(w.u_minus, tp.identity_symbol()) < 0.1
+
+
+def test_factorization_passes_take_no_svd(monkeypatch, rational_symbol, two_block_symbol):
+    # the singular-value margin of the factors is computed by the factor
+    # report only, never inside a factorization pass
+    def fail(samples):
+        raise AssertionError("a factorization pass took an SVD")
+
+    monkeypatch.setattr(factor, "_smallest_singular_values", fail)
+    tp.scalar_wiener_hopf(rational_symbol)
+    tp.block_wiener_hopf(two_block_symbol, section=64)
+    nodes = 20.0 * np.exp(2j * np.pi * np.arange(8) / 8)
+    contour = tp.ContourSpec(nodes=nodes, weights=np.ones(8), clearance=10.0,
+                             center=0.0, radius=20.0)
+    assert len(tp.factorization_sweep(two_block_symbol, contour, section=32).factors) == 8
 
 
 def _reduction_series():

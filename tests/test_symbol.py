@@ -325,12 +325,6 @@ def test_zygmund_deterministic_seed():
         np.testing.assert_array_equal(z1.block(k), z2.block(k))
 
 
-def test_krein_norm(rational_symbol):
-    assert tp.krein_norm(tp.identity_symbol()) == pytest.approx(1.0)
-    assert tp.krein_norm(rational_symbol) == pytest.approx(2.5625)
-    assert tp.krein_norm(tp.LaurentMatrixSeries(1, {})) == pytest.approx(0.0)
-
-
 def test_winding_number(rational_symbol):
     assert tp.winding_number(tp.scalar_symbol({1: 1.0})) == 1
     assert tp.winding_number(rational_symbol) == 0
