@@ -26,7 +26,7 @@ from .errors import NoConvergence
 from .factor import canonical_wiener_hopf, correction_symbols
 from .fitting import fit_decay
 from .symbol import _refine, _zero_winding_log, certified_inverse, reverse
-from .toeplitz import hankel_section, log_det_scan
+from .toeplitz import _offset_table, hankel_section, log_det_scan
 
 
 def log_geometric_mean(a):
@@ -136,13 +136,12 @@ def _correction_trace_series(b, c, p, upto):
     if p < 2 or live <= 1:
         return out
     n = b.block_size
-    zero = np.zeros((n, n), dtype=complex)
-    bt = np.array([b.coeffs.get(j, zero) for j in range(2 * live)])  # b_j
-    ct = np.array([c.coeffs.get(-j, zero) for j in range(2 * live)])  # c_{-j}
+    bt = _offset_table(b, 0, 2 * live - 1)  # b_j
+    ct = _offset_table(c, 1 - 2 * live, 0)[::-1]  # c_{-j}
     size = live - 2  # X_ell(i) Y_ell(i) = 0 for i > live - 3
     x = np.zeros((size, n, n), dtype=complex)
     y = np.zeros((size, n, n), dtype=complex)
-    g0, tr0 = zero, 0j
+    g0, tr0 = np.zeros((n, n), dtype=complex), 0j
     for ell in range(live - 1, 0, -1):
         j = ell + 1
         prod = ct[j] @ bt[j]

@@ -38,6 +38,8 @@ def parse_n_grid(spec):
     if lo < 0 or hi < lo:
         raise ConfigInvalid(f"empty n-grid {spec!r}")
     if kind == "geometric":
+        if len(parts) == 4:
+            raise ConfigInvalid(f"geometric n-grid {spec!r} takes no step")
         if lo == 0:
             raise ConfigInvalid(f"geometric n-grid {spec!r} must start at n >= 1")
         out, v = [], lo
@@ -46,7 +48,10 @@ def parse_n_grid(spec):
             v *= 2
         return out
     if kind == "linear":
-        step = int(parts[3]) if len(parts) == 4 else max(1, (hi - lo) // 16)
+        try:
+            step = int(parts[3]) if len(parts) == 4 else max(1, (hi - lo) // 16)
+        except ValueError as exc:
+            raise ConfigInvalid(f"bad n-grid step in {spec!r}") from exc
         if step < 1:
             raise ConfigInvalid(f"n-grid step in {spec!r} must be >= 1")
         return list(range(lo, hi + 1, step))
@@ -279,7 +284,6 @@ def build_parser():
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
-    add_common(p)
 
     p = sub.add_parser("trace-scan", help="tr f(T_n) over a range of n")
     p.set_defaults(handler=_cmd_trace_scan)
@@ -298,7 +302,6 @@ def build_parser():
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--n-grid", required=True, metavar="MIN:MAX:KIND")
     p.add_argument("-o", "--output", default=None)
-    add_common(p)
 
     p = sub.add_parser("widom-trace", help="trace asymptotics versus dense values")
     p.set_defaults(handler=_cmd_widom_trace)

@@ -79,11 +79,8 @@ def _series_tail_trim(series, tol=1e-14):
     return LaurentMatrixSeries(series.block_size, dict(items[:cut]))
 
 
-def _common_grid(parts, minimum=256):
-    m = minimum
-    for p in parts:
-        m = max(m, p.grid_size)
-    return m
+def _common_grid(parts):
+    return max([256] + [p.grid_size for p in parts])
 
 
 def _product_residual(left, right, target):
@@ -107,7 +104,7 @@ def _factors_margin(factors):
 # ---------------------------------------------------------------------------
 # scalar path
 
-def scalar_wiener_hopf(a, cutoff=None):
+def scalar_wiener_hopf(a):
     """Factorization of a nonvanishing scalar symbol by log splitting.
 
     The branch-continuous logarithm g = log a is split into g_minus
@@ -133,10 +130,9 @@ def scalar_wiener_hopf(a, cutoff=None):
     gm = np.fft.ifft(np.where(~plus_mask, ghat, 0.0), norm="forward")
     up_samples = np.exp(gp)
     um_samples = np.exp(gm)
-    if cutoff is None:
-        mass = np.maximum(np.abs(np.fft.fft(up_samples, norm="forward")),
-                          np.abs(np.fft.fft(um_samples, norm="forward")))
-        cutoff = min(max(_tail_cutoff(mass, 1e-13)[0], 8), m // 2 - 1)
+    mass = np.maximum(np.abs(np.fft.fft(up_samples, norm="forward")),
+                      np.abs(np.fft.fft(um_samples, norm="forward")))
+    cutoff = min(max(_tail_cutoff(mass, 1e-13)[0], 8), m // 2 - 1)
     grid_p = SymbolGrid(1, up_samples[:, None, None])
     grid_m = SymbolGrid(1, um_samples[:, None, None])
     up_raw, _ = coefficients_from_samples(grid_p, cutoff)
@@ -253,12 +249,12 @@ def block_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
         f"leakage={r.leakage:.3e}")
 
 
-def canonical_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
+def canonical_wiener_hopf(a, section=256):
     """Dispatch to the scalar or block factorization path."""
     _check_section(section)
     if a.block_size == 1:
         return scalar_wiener_hopf(a)
-    return block_wiener_hopf(a, section=section, tol=tol)
+    return block_wiener_hopf(a, section=section)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,7 @@ class FactorizationSweep:
     max_product_residual: float
 
 
-def factorization_sweep(a, contour, section=256, tol=DEFAULT_TOL):
+def factorization_sweep(a, contour, section=256):
     """Factor a - lambda at every contour node.
 
     The normalization pins the factors uniquely, so continuity along the
@@ -301,7 +297,7 @@ def factorization_sweep(a, contour, section=256, tol=DEFAULT_TOL):
     for lam in contour.nodes:
         shifted = add_constant(a, -lam)
         try:
-            factors.append(block_wiener_hopf(shifted, section=section, tol=tol))
+            factors.append(block_wiener_hopf(shifted, section=section))
         except IllConditionedSection as exc:
             raise SpectrumTooClose(
                 f"section nearly singular at lambda={lam:.6g}: {exc}") from exc

@@ -43,23 +43,21 @@ class DecayFit:
         }
 
 
-def fit_decay(ns, magnitudes, floor=RESIDUAL_FLOOR, min_points=4,
-              target_slope=None, flag=None):
-    """Fit log|magnitude| versus log n, excluding points at the floor.
+def fit_decay(ns, magnitudes, target_slope=None):
+    """Fit log|magnitude| versus log n, excluding points at RESIDUAL_FLOOR.
 
-    Raises FitDegenerate when fewer than ``min_points`` usable points
-    remain.  Slopes below -4 are flagged "superpolynomial" unless the
-    caller already supplied a flag.
+    Raises FitDegenerate when fewer than four usable points remain.
+    Slopes below -4 are flagged "superpolynomial".
     """
     ns = np.asarray(ns, dtype=float)
     mags = np.asarray(magnitudes, dtype=float)
-    keep = mags > floor
-    if keep.sum() < min_points:
+    keep = mags > RESIDUAL_FLOOR
+    if keep.sum() < 4:
         # a scan whose magnitudes never rise above round-off noise is an
         # identity at finite n, not a decaying remainder
-        exact = bool(np.all(mags < 1000 * floor))
+        exact = bool(np.all(mags < 1000 * RESIDUAL_FLOOR))
         raise FitDegenerate(
-            f"only {int(keep.sum())} of {len(ns)} points above the {floor:g} floor",
+            f"only {int(keep.sum())} of {len(ns)} points above the {RESIDUAL_FLOOR:g} floor",
             flag="exact regime" if exact else None,
         )
     x = np.log(ns[keep])
@@ -72,8 +70,7 @@ def fit_decay(ns, magnitudes, floor=RESIDUAL_FLOOR, min_points=4,
     dof = len(x) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     stderr = 0.0 if dof <= 0 or sxx == 0 else float(np.sqrt(ss_res / dof / sxx))
-    if flag is None and slope < -4:
-        flag = "superpolynomial"
+    flag = "superpolynomial" if slope < -4 else None
     meets = None if target_slope is None else bool(slope <= target_slope)
     points = tuple((int(n), float(m)) for n, m in zip(ns[keep], mags[keep]))
     return DecayFit(points, float(slope), float(intercept), r_squared, stderr,

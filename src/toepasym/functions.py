@@ -46,14 +46,14 @@ def exponential(scale=1.0):
                             lambda z: np.exp(scale * np.asarray(z, dtype=complex)))
 
 
-def principal_log(cut_margin=1e-8):
-    # analytic off the branch cut (-inf, 0]
+def principal_log():
+    # analytic more than 1e-8 off the branch cut (-inf, 0]
     def domain(z):
-        return (z.real > cut_margin) | (np.abs(z.imag) > cut_margin)
+        return (z.real > 1e-8) | (np.abs(z.imag) > 1e-8)
     return AnalyticFunction("log", np.log, domain=domain)
 
 
-def rational(numerator, denominator, pole_margin=1e-6):
+def rational(numerator, denominator):
     num = np.asarray(numerator, dtype=complex)
     den = np.asarray(denominator, dtype=complex)
     poles = np.polynomial.polynomial.polyroots(den)
@@ -66,7 +66,7 @@ def rational(numerator, denominator, pole_margin=1e-6):
         if len(poles) == 0:
             return np.ones(z.shape, dtype=bool)
         d = np.abs(z[..., None] - poles[None, :]).min(axis=-1)
-        return d > pole_margin
+        return d > 1e-6  # a margin around each pole
 
     name = ("rational:" + ",".join(f"{c.real:g}" for c in num)
             + "/" + ",".join(f"{c.real:g}" for c in den))

@@ -126,17 +126,11 @@ class LaurentMatrixSeries:
         if m <= 2 * self.max_offset:
             raise GridTooCoarse(f"grid size {m} aliases offsets up to {self.max_offset}")
         n = self.block_size
-        carr = np.zeros((m, n, n), dtype=complex)
-        for k, blk in self.coeffs.items():
-            carr[k % m] += blk
-        return SymbolGrid(n, np.fft.ifft(carr, axis=0, norm="forward"))
+        stacked = np.array(list(self.coeffs.values()), dtype=complex).reshape(-1, n, n)
+        return SymbolGrid(n, _sample_rows(list(self.coeffs), stacked[None], m)[0])
 
     def eval(self, theta):
         return evaluate(self, theta)
-
-    def with_tag(self, gamma):
-        return LaurentMatrixSeries(self.block_size, dict(self.coeffs),
-                                   self.grid_size, gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,19 +157,6 @@ class SymbolGrid:
     @property
     def grid_size(self):
         return self.samples.shape[0]
-
-    @property
-    def thetas(self):
-        m = self.grid_size
-        return 2 * np.pi * np.arange(m) / m
-
-    @classmethod
-    def from_function(cls, fn, grid_size, block_size=1):
-        thetas = 2 * np.pi * np.arange(grid_size) / grid_size
-        vals = np.asarray([fn(t) for t in thetas], dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None, None]
-        return cls(block_size, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +313,7 @@ def _sample_rows(offsets, table, m):
     """Samples on the M-point grid of one series per row of ``table``.
 
     table[r, i] is the block of series r at offsets[i]; the result has
-    shape (R, M, N, N).  Each row is bit-identical to the samples that
-    LaurentMatrixSeries.sample gives for the same blocks.
+    shape (R, M, N, N).  LaurentMatrixSeries.sample is the one-row case.
     """
     carr = np.zeros((table.shape[0], m) + table.shape[2:], dtype=complex)
     carr[:, np.asarray(offsets, dtype=int) % m] += table
@@ -473,7 +453,7 @@ def certified_inverse(a, tol=1e-13):
     return series
 
 
-def _zero_winding_log(values, rel_floor=1e-12):
+def _zero_winding_log(values):
     """Branch-continuous log samples along a closed sampled curve.
 
     The phase is accumulated from consecutive ratios so each step stays in
@@ -482,7 +462,7 @@ def _zero_winding_log(values, rel_floor=1e-12):
     NonZeroWinding when the winding number is not zero.
     """
     absv = np.abs(values)
-    if _singular_rows(absv, rel_floor):
+    if _singular_rows(absv):
         _raise_singular(absv)
     steps = np.angle(np.roll(values, -1) / values)
     w = int(round(float(steps.sum()) / (2 * np.pi)))
@@ -492,11 +472,11 @@ def _zero_winding_log(values, rel_floor=1e-12):
     return np.log(absv) + 1j * phase
 
 
-def _singular_rows(absv, rel_floor):
+def _singular_rows(absv):
     """Rows of magnitudes (..., M) that vanish or whose smallest entry is
-    at most rel_floor times their largest."""
+    at most 1e-12 times their largest."""
     scale = absv.max(axis=-1)
-    return (scale == 0.0) | (absv.min(axis=-1) <= rel_floor * scale)
+    return (scale == 0.0) | (absv.min(axis=-1) <= 1e-12 * scale)
 
 
 def _raise_singular(absv):
@@ -508,18 +488,18 @@ def _raise_singular(absv):
 _SINGULAR, _STEEP, _OFF_MULTIPLE = 1, 2, 3
 
 
-def _winding_rows(det, rel_floor=1e-12):
+def _winding_rows(det):
     """Winding decision for closed curves sampled along the rows of det (R, M).
 
     Returns (w, fault, total, max_step) per row: the phase total (sum of
     the steps between consecutive samples, each in (-pi, pi]), the largest
     step, and w = total / 2 pi rounded.  fault is 0 when the row winds w
-    times, _SINGULAR when it comes within rel_floor of zero (relative to
+    times, _SINGULAR when it comes within 1e-12 of zero (relative to
     its largest magnitude), _STEEP when a step reaches pi/2 (the grid is
     too coarse to track the branch) and _OFF_MULTIPLE when the total is
     more than 0.5 away from 2 pi w.
     """
-    singular = _singular_rows(np.abs(det), rel_floor)
+    singular = _singular_rows(np.abs(det))
     # a singular row may hold exact zeros; its steps are not used
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.angle(np.roll(det, -1, axis=-1) / det)
@@ -588,13 +568,14 @@ def symbol_to_json(a):
 
 
 def symbol_from_json(text):
-    data = json.loads(text) if isinstance(text, str) else text
+    # every number parses as a float, so that "-0" keeps its sign
+    data = json.loads(text, parse_int=float) if isinstance(text, str) else text
     n = int(data["n"])
     coeffs = {}
     for entry in data.get("coeffs", []):
-        re = np.asarray(entry["re"], dtype=float)
-        im = np.asarray(entry["im"], dtype=float)
-        coeffs[int(entry["k"])] = re + 1j * im
+        blk = np.asarray(entry["re"], dtype=complex)
+        blk.imag = entry["im"]  # re + 1j * im would turn -0.0 into 0.0
+        coeffs[int(entry["k"])] = blk
     gamma = data.get("gamma")
     return LaurentMatrixSeries(n, coeffs,
                                smoothness_tag=None if gamma is None else float(gamma))

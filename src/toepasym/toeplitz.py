@@ -1,6 +1,11 @@
 """Finite sections of Toeplitz and Hankel operators, correction-term
 matrices, and dense (oracle) determinant and trace computations.
 
+Every structured block matrix of the package is a window of an offset
+table (_offset_table): a Toeplitz section has block (j, k) at offset
+j - k, and every Hankel, block row and block column has block (j, k) at
+table[j + k] (_block_hankel).
+
 Dense storage only: the O(n^3) routines here are the ground truth the
 asymptotic formulas are checked against, so no fast solvers are used.
 """
@@ -27,14 +32,6 @@ def _offset_table(a, lo, hi):
     return table
 
 
-def _assemble(table, idx, lo):
-    """Block matrix whose (j, k) block is table[idx[j, k] - lo]."""
-    n = table.shape[1]
-    blocks = table[idx - lo]
-    rows, cols = idx.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
-
-
 def _window_matrix(windows):
     """Read-only block matrix whose (j, k) block is windows[j, :, :, k],
     for a window view of an offset table: the reshape is the only copy."""
@@ -42,6 +39,17 @@ def _window_matrix(windows):
     out = windows.transpose(0, 1, 3, 2).reshape(rows * n, cols * n)
     out.setflags(write=False)
     return out
+
+
+def _block_hankel(table, rows, cols):
+    """Read-only rows x cols block matrix whose (j, k) block is table[j + k]:
+    a block row when rows = 1, a block column when cols = 1.  It views the
+    table made contiguous, since a negative stride would change how matrix
+    products round; numpy checks that the view stays inside the table."""
+    t = np.ascontiguousarray(table)
+    windows = np.ndarray((rows, *t.shape[1:], cols), t.dtype, t,
+                         strides=t.strides + t.strides[:1])
+    return _window_matrix(windows)
 
 
 def toeplitz_section(a, n):
@@ -60,8 +68,7 @@ def hankel_section(a, m):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    windows = sliding_window_view(_offset_table(a, 1, 2 * m - 1), m, axis=0)
-    return _window_matrix(windows)
+    return _block_hankel(_offset_table(a, 1, 2 * m - 1), m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +96,13 @@ def _correction_sections(b, c, ell, m):
     support, so the section is exact for finitely supported symbols.
     """
     w = m - ell
-    ctab = _offset_table(c, -m, -(ell + 1))  # c_{-m}..c_{-(ell+1)}
-    row = np.hstack([ctab[m - j] for j in range(ell + 1, m + 1)])
-    btab = _offset_table(b, ell + 1, m)
-    col = np.vstack([btab[j - (ell + 1)] for j in range(ell + 1, m + 1)])
     depth = max(b.max_offset, c.max_offset, 1)
-    rows = np.arange(w)[:, None] + np.arange(depth)[None, :] + ell + 2
-    hb = _assemble(_offset_table(b, ell + 2, m + depth), rows, ell + 2)
-    hc = _assemble(_offset_table(c, -(m + depth), -(ell + 2)), -rows.T,
-                   -(m + depth))
-    inner = hb @ hc
+    btab = _offset_table(b, ell + 1, m + depth)  # b_{ell+1+i}
+    ctab = _offset_table(c, -(m + depth), -(ell + 1))[::-1]  # c_{-(ell+1+i)}
+    row = _block_hankel(ctab, 1, w)
+    col = _block_hankel(btab, w, 1)
+    # H(b) rows j and H(c~) columns k in [ell+1, m]: b_{j+i+1}, c_{-(k+i+1)}
+    inner = _block_hankel(btab[1:], w, depth) @ _block_hankel(ctab[1:], depth, w)
     return row, inner, col
 
 
@@ -155,7 +159,7 @@ def correction_term(b, c, ell, k, m=None, tail_tol=1e-8):
 # ---------------------------------------------------------------------------
 # dense oracles
 
-def _logdet_lu(matrix, rcond_floor=1e-12):
+def _logdet_lu(matrix):
     """Principal-branch log det via pivoted LU, with a condition estimate."""
     matrix = np.ascontiguousarray(matrix, dtype=complex)
     anorm = float(np.linalg.norm(matrix, 1))
@@ -173,7 +177,7 @@ def _logdet_lu(matrix, rcond_floor=1e-12):
         raise NumericallySingularSection("exact zero pivot in LU")
     gecon = scipy.linalg.get_lapack_funcs("gecon", (matrix,))
     rcond, info = gecon(lu, anorm)
-    if info != 0 or rcond < rcond_floor:
+    if info != 0 or rcond < 1e-12:
         raise NumericallySingularSection(
             f"condition estimate {1.0 / max(rcond, 1e-300):.3e} exceeds 1e12")
     logabs = float(np.sum(np.log(np.abs(diag))))
@@ -238,19 +242,17 @@ def truncation_norms(b, c, n, m=None):
         m = 4 * n
     if m <= n:
         raise ValueError("m must exceed n")
-    btab = _offset_table(b, n + 1, m)
-    tb = np.vstack([btab[j - (n + 1)] for j in range(n + 1, m + 1)])
-    ctab = _offset_table(c, -m, -(n + 1))
-    tc = np.hstack([ctab[m - j] for j in range(n + 1, m + 1)])
+    btab = _offset_table(b, n + 1, 2 * m + 1)  # b_{n+1+i}
+    ctab = _offset_table(c, -(2 * m + 1), -(n + 1))[::-1]  # c_{-(n+1+i)}
+    tb = _block_hankel(btab, m - n, 1)
+    tc = _block_hankel(ctab, 1, m - n)
 
     def spec(x):
         return float(np.linalg.norm(x, 2)) if x.size else 0.0
 
     # Hankel of b with rows restricted to j >= n+1, block (j, k) = b_{j+k+1},
     # and Hankel of reversed c with columns restricted to k >= n+1
-    idx = np.arange(n + 1, m + 1)[:, None] + np.arange(m + 1)[None, :] + 1
-    rows_b = _assemble(_offset_table(b, n + 2, 2 * m + 1), idx, n + 2)
-    cols_c = _assemble(_offset_table(c, -(2 * m + 1), -(n + 2)), -idx.T,
-                       -(2 * m + 1))
+    rows_b = _block_hankel(btab[1:], m - n, m + 1)
+    cols_c = _block_hankel(ctab[1:], m + 1, m - n)
     return TruncationNorms(tb_tail=spec(tb), hb_tail=spec(rows_b),
                            tc_tail=spec(tc), hc_tail=spec(cols_c))

@@ -23,7 +23,7 @@ from .fitting import fit_decay
 from .symbol import (_NOISE_FACTOR, _SINGULAR_FLOOR, _guarded_inverse, _refine,
                      _row_chunks, _sample_shifted, _winding_rows, default_grid_size,
                      reverse)
-from .toeplitz import _assemble, hankel_section, toeplitz_section, trace_f_direct
+from .toeplitz import _block_hankel, hankel_section, toeplitz_section, trace_f_direct
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +65,11 @@ class ContourSpec:
     radius: float
 
 
-def estimate_spectrum(a, m=64, interior_grid=25):
+def estimate_spectrum(a, m=64):
     """Eigenvalues of the m-th sections of both Toeplitz operators plus the
     pointwise eigenvalues of the symbol.
 
-    For scalar symbols, points of a coarse rectangle grid over the cloud's
+    For scalar symbols, points of a coarse 25 x 25 grid over the cloud's
     bounding box with nonzero winding of a - lambda are added (interior of
     the symbol curve belongs to the spectrum), together with the points
     where the winding number of a - lambda is undefined (winding_number
@@ -88,8 +88,8 @@ def estimate_spectrum(a, m=64, interior_grid=25):
     clouds = [ev_plus, ev_minus, ev_symbol]
     if a.block_size == 1:
         base = np.concatenate(clouds)
-        re = np.linspace(base.real.min(), base.real.max(), interior_grid)
-        im = np.linspace(base.imag.min(), base.imag.max(), interior_grid)
+        re = np.linspace(base.real.min(), base.real.max(), 25)
+        im = np.linspace(base.imag.min(), base.imag.max(), 25)
         lams = (re[:, None] + 1j * im[None, :]).ravel()
         marked = np.zeros(lams.size, dtype=bool)
         for rows in _row_chunks(lams.size, a.grid_size):
@@ -174,15 +174,14 @@ def build_contour(spectrum, margin, nodes=256):
 # ---------------------------------------------------------------------------
 # trace functionals
 
-def trace_mean(a, f, grid_size=None):
-    """Circle average of tr f(a), the linear-term coefficient.
+def trace_mean(a, f):
+    """Circle average of tr f(a) on a's grid, the linear-term coefficient.
 
     The trace of a matrix function is the sum of f over the (pointwise)
     eigenvalues counted with multiplicity, so no eigenvector conditioning
     enters.
     """
-    m = max(a.grid_size, grid_size or 0)
-    samples = a.sample(m).samples
+    samples = a.sample().samples
     if a.block_size == 1:
         evals = samples[:, :, 0]
     else:
@@ -276,14 +275,13 @@ def trace_constant(a, f, contour):
                    max(a.grid_size, 1 << 15), 1e-13)
     ha = hankel_section(a, band)
     eye = np.eye(band * n)
-    j = np.arange(band)
-    idx = -(j[:, None] + j[None, :] + 1)  # FFT bins of offsets -(j+k+1)
     total = 0.0 + 0.0j
     for chunk, hat1, hat2 in hats:
         for lam, weight, fv, t1, t2 in zip(contour.nodes[chunk], contour.weights[chunk],
                                           fvals[chunk], hat1, hat2):
-            mmat = eye - ha @ _assemble(t1, idx, 0)
-            mprime = -(ha @ _assemble(t2, idx, 0))
+            # t[::-1] holds offsets -1, -2, ..., so block (j, k) is at -(j+k+1)
+            mmat = eye - ha @ _block_hankel(t1[::-1], band, band)
+            mprime = -(ha @ _block_hankel(t2[::-1], band, band))
             try:
                 solved = np.linalg.solve(mmat, mprime)
             except np.linalg.LinAlgError as exc:

@@ -35,6 +35,15 @@ def rational_bc():
     return b, reverse(b)
 
 
+def assemble(table, idx, lo):
+    """Reference block matrix whose (j, k) block is table[idx[j, k] - lo],
+    gathered block by block; toeplitz builds the same matrices as windows."""
+    n = table.shape[1]
+    blocks = table[idx - lo]
+    rows, cols = idx.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
+
+
 def random_scalar_symbol(rng, max_offset=4, scale=1.0):
     coeffs = {}
     for k in range(-max_offset, max_offset + 1):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.asymptotics import _correction_trace_series
@@ -200,3 +202,27 @@ def test_order2_traces_equal_reverse_cumsum(name, rational_symbol, two_block_sym
         ref = _cumsum_traces(b, c, upto)
         assert np.array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()  # signs of zeros too
+
+
+@st.composite
+def _winding_zero_scalars(draw):
+    """c0 (1 + sum_k c_k t^k) over 0 < |k| <= 3 with sum |c_k| <= 1/2:
+    winding number zero, and |a| >= |c0| / 2 on the circle."""
+    offsets = draw(st.lists(st.integers(-3, 3).filter(bool), unique=True,
+                            min_size=1, max_size=6))
+    parts = st.floats(-1.0, 1.0)
+    raw = [complex(draw(parts), draw(parts)) for _ in offsets]
+    total = sum(abs(v) for v in raw)
+    shrink = 0.5 / total if total > 0.5 else 1.0
+    c0 = draw(st.floats(0.5, 4.0)) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    coeffs = {0: c0, **{k: c0 * shrink * v for k, v in zip(offsets, raw)}}
+    return tp.scalar_symbol(coeffs)
+
+
+@given(_winding_zero_scalars())
+def test_szego_constant_matches_strong_szego_series(a):
+    # the Hankel corner and the series exp(sum_k k (log a)_k (log a)_{-k})
+    # are independent routes to E(a)
+    log_corner = np.log(tp.szego_constant(a))
+    log_series = np.log(tp.strong_szego_series(a))
+    assert abs(log_corner - log_series) <= 1e-10

@@ -184,6 +184,8 @@ def test_cli_error_mapping(tmp_path, capsys):
     (["factor", "--m", "0"], "section must be >= 1"),
     (["expand", "--n-grid", "8:16:linear:0"], "n-grid step in '8:16:linear:0' must be >= 1"),
     (["expand", "--n-grid", "8:16:linear:-1"], "n-grid step in '8:16:linear:-1' must be >= 1"),
+    (["expand", "--n-grid", "8:64:geometric:3"], "geometric n-grid '8:64:geometric:3' takes no step"),
+    (["expand", "--n-grid", "8:16:linear:x"], "bad n-grid step in '8:16:linear:x'"),
 ])
 def test_out_of_range_values_exit_config_invalid(tmp_path, capsys, argv, detail):
     sym = tmp_path / "s.json"
@@ -194,6 +196,19 @@ def test_out_of_range_values_exit_config_invalid(tmp_path, capsys, argv, detail)
     assert code == tp.ConfigInvalid.exit_code
     assert err.startswith("ConfigInvalid: ") and detail in err
     assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["logdet-scan", "expand"])
+def test_threads_only_on_threaded_subcommands(tmp_path, capsys, command):
+    # only trace-scan and widom-trace run scan points on a thread pool
+    sym = tmp_path / "s.json"
+    run_cli(capsys, "gen-symbol", "--rational", "0.5", "-o", str(sym))
+    grid = (["--n-min", "0", "--n-max", "4"] if command == "logdet-scan"
+            else ["--n-grid", "4:32:geometric"])
+    with pytest.raises(SystemExit) as info:
+        main([command, "--symbol", str(sym), *grid, "--threads", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_widom_trace_shared_output_path_exits_config_invalid(tmp_path, capsys):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import toepasym as tp
@@ -10,7 +10,7 @@ from conftest import random_block_symbol, random_scalar_symbol
 
 
 def test_constant_function_coefficients():
-    grid = tp.SymbolGrid.from_function(lambda t: 1.0, 64)
+    grid = tp.SymbolGrid(1, np.ones(64))
     series, tail = tp.coefficients_from_samples(grid, 4)
     assert series.support() == [0]
     assert series.block(0)[0, 0] == pytest.approx(1.0)
@@ -34,7 +34,7 @@ def test_support_outside_cutoff_goes_to_tail():
 
 
 def test_cutoff_too_large():
-    grid = tp.SymbolGrid.from_function(lambda t: 1.0, 8)
+    grid = tp.SymbolGrid(1, np.ones(8))
     with pytest.raises(tp.CutoffTooLarge):
         tp.coefficients_from_samples(grid, 4)
 
@@ -227,19 +227,27 @@ _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
 
 
 @st.composite
+def _series(draw, n=None, entries=_ENTRIES):
+    """A series of block size n (drawn from 1-3 when None), offsets in -6..6;
+    its blocks are real or complex, with signed zeros in either part."""
+    if n is None:
+        n = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.integers(-6, 6), unique=True, max_size=6))
+    coeffs = {}
+    for k in offsets:
+        parts = draw(st.lists(entries, min_size=2 * n * n, max_size=2 * n * n))
+        re, im = np.reshape(parts, (2, n, n))
+        coeffs[k] = re
+        if draw(st.booleans()):
+            coeffs[k] = re.astype(complex)
+            coeffs[k].imag = im  # re + 1j * im would turn -0.0 into 0.0
+    return tp.LaurentMatrixSeries(n, coeffs)
+
+
+@st.composite
 def _series_pairs(draw):
     n = draw(st.integers(1, 3))
-
-    def series():
-        offsets = draw(st.lists(st.integers(-6, 6), unique=True, max_size=6))
-        coeffs = {}
-        for k in offsets:
-            parts = draw(st.lists(_ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
-            re, im = np.reshape(parts, (2, n, n))
-            coeffs[k] = re + 1j * im if draw(st.booleans()) else re
-        return tp.LaurentMatrixSeries(n, coeffs)
-
-    return series(), series()
+    return draw(_series(n)), draw(_series(n))
 
 
 @given(_series_pairs())
@@ -356,7 +364,8 @@ def test_grid_size_validation():
 
 def test_json_roundtrip_bit_exact():
     rng = np.random.default_rng(13)
-    a = random_block_symbol(rng, 2, 3).with_tag(0.75)
+    a = random_block_symbol(rng, 2, 3)
+    a = tp.LaurentMatrixSeries(2, a.coeffs, smoothness_tag=0.75)
     text = tp.symbol_to_json(a)
     back = tp.symbol_from_json(text)
     assert tp.symbol_to_json(back) == text
@@ -389,3 +398,49 @@ def test_forward_norm_fft_is_bitwise_scaled_fft(scale):
             np.testing.assert_array_equal(forward, x.shape[axis] * np.fft.ifft(x, axis=axis))
             forward = np.fft.fft(x, axis=axis, norm="forward")
             np.testing.assert_array_equal(forward, np.fft.fft(x, axis=axis) / x.shape[axis])
+
+
+def _bits(a):
+    """Offsets with their blocks' bytes, grid size and tag: equal for two
+    series exactly when they are bitwise equal, signed zeros included."""
+    tag = None if a.smoothness_tag is None else np.float64(a.smoothness_tag).tobytes()
+    return [(k, blk.tobytes()) for k, blk in a.coeffs.items()], a.grid_size, tag
+
+
+@given(_series(), st.none() | st.floats(0.01, 4.0))
+def test_reverse_twice_is_bitwise_identity(a, gamma):
+    a = tp.LaurentMatrixSeries(a.block_size, a.coeffs, 2 * a.grid_size, gamma)
+    assert _bits(tp.reverse(tp.reverse(a))) == _bits(a)
+
+
+@given(_series(entries=_ENTRIES | st.floats(allow_nan=False, allow_infinity=False)),
+       st.none() | st.floats(allow_nan=False, allow_infinity=False))
+@example(tp.LaurentMatrixSeries(1, {0: np.array([[complex(-0.0, -0.0)]]),
+                                    1: np.array([[complex(1.0, -0.0)]])}), -0.0)
+def test_json_roundtrip_is_bitwise(a, gamma):
+    # the file lists offsets in increasing order
+    a = tp.LaurentMatrixSeries(a.block_size, dict(sorted(a.coeffs.items())),
+                               smoothness_tag=gamma)
+    assert _bits(tp.symbol_from_json(tp.symbol_to_json(a))) == _bits(a)
+
+
+def _sample_per_offset(a, m):
+    """Reference: one block per offset placed in an M-point array, then one
+    inverse FFT."""
+    n = a.block_size
+    carr = np.zeros((m, n, n), dtype=complex)
+    for k, blk in a.coeffs.items():
+        carr[k % m] += blk
+    return np.fft.ifft(carr, axis=0, norm="forward")
+
+
+@given(_series(), st.sampled_from([None, 16, 64, 1 << 14]))
+@example(tp.LaurentMatrixSeries(1, {}), None)
+@example(tp.LaurentMatrixSeries(3, {}), 1 << 14)
+def test_sample_matches_per_offset_loop(a, m):
+    got = a.sample(m).samples
+    want = _sample_per_offset(a, a.grid_size if m is None else m)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))

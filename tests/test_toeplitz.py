@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import toepasym as tp
-from toepasym.toeplitz import _correction_sections
-from conftest import random_block_symbol, random_scalar_symbol
+from toepasym.toeplitz import _block_hankel, _correction_sections, _offset_table
+from conftest import assemble, random_block_symbol, random_scalar_symbol
 
 
 def test_toeplitz_section_identity():
@@ -47,8 +47,15 @@ def test_hankel_single_entry():
 
 def _gathered(a, lo, hi, idx):
     """Reference: the section gathered block by block from the offset table."""
-    from toepasym.toeplitz import _assemble, _offset_table
-    return _assemble(_offset_table(a, lo, hi), idx, lo)
+    return assemble(_offset_table(a, lo, hi), idx, lo)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)),
+                              np.signbit(getattr(want, part)))
 
 
 @pytest.mark.parametrize("block_size", [1, 2, 3])
@@ -69,11 +76,55 @@ def test_sections_match_gathered(block_size):
                   _gathered(a, 1, 2 * n + 1, j[:, None] + j[None, :] + 1))]
         for got, want in pairs:
             assert not got.flags.writeable
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-            for part in ("real", "imag"):
-                assert np.array_equal(np.signbit(getattr(got, part)),
-                                      np.signbit(getattr(want, part)))
+            _assert_bitwise(got, want)
+
+
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.integers(0, 3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_block_hankel_matches_gathered(n, rows, cols, extra, reverse, seed):
+    rng = np.random.default_rng(seed)
+    shape = (rows + cols - 1 + extra, n, n)
+    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    table.real[rng.random(shape) < 0.25] = -0.0
+    table.imag[rng.random(shape) < 0.25] = -0.0
+    if reverse:
+        table = table[::-1]
+    got = _block_hankel(table, rows, cols)
+    j, k = np.arange(rows), np.arange(cols)
+    assert not got.flags.writeable
+    assert min(got.strides) >= 0
+    _assert_bitwise(got, assemble(table, j[:, None] + k[None, :], 0))
+
+
+def _gathered_correction_sections(b, c, ell, m):
+    """Reference: row, inner and column sections of the correction
+    composition gathered from one offset table per symbol."""
+    depth = max(b.max_offset, c.max_offset, 1)
+    top = m + depth
+    j = np.arange(ell + 1, m + 1)
+    i = np.arange(depth)
+    btab, ctab = _offset_table(b, 0, top), _offset_table(c, -top, 0)
+    hb = assemble(btab, j[:, None] + i[None, :] + 1, 0)  # b_{j+i+1}
+    hc = assemble(ctab, -(i[:, None] + j[None, :] + 1), -top)  # c_{-(i+j+1)}
+    return assemble(ctab, -j[None, :], -top), hb @ hc, assemble(btab, j[:, None], 0)
+
+
+def test_correction_sections_match_gathered(rational_bc, two_block_symbol):
+    pairs = [rational_bc, tp.correction_symbols(tp.canonical_wiener_hopf(two_block_symbol))]
+    for b, c in pairs:
+        for ell, m in ((0, 12), (1, 40), (3, 90)):
+            got = _correction_sections(b, c, ell, m)
+            want = _gathered_correction_sections(b, c, ell, m)
+            for g, w in zip(got, want):
+                # a negative stride would change how products round
+                assert min(g.strides) >= 0
+                _assert_bitwise(g, w)
+            row, inner, col = got
+            grow, ginner, gcol = want
+            for k in (1, 2, 3):
+                power = np.linalg.matrix_power(inner, k)
+                gpower = np.linalg.matrix_power(ginner, k)
+                _assert_bitwise(row @ power @ col, grow @ gpower @ gcol)
 
 
 def test_hermitian_coefficient_symbol_gives_hermitian_section():

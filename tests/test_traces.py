@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.symbol import _BATCH_SAMPLES, default_grid_size
-from toepasym.toeplitz import _assemble
+from conftest import assemble
 
 
 @pytest.fixture
@@ -389,7 +389,7 @@ def _node_traces(a, contour, grid=None):
     idx = -(j[:, None] + j[None, :] + 1)
     traces = []
     for h1, h2 in hats:
-        solved = np.linalg.solve(eye - ha @ _assemble(h1, idx, 0), -(ha @ _assemble(h2, idx, 0)))
+        solved = np.linalg.solve(eye - ha @ assemble(h1, idx, 0), -(ha @ assemble(h2, idx, 0)))
         traces.append(np.trace(solved))
     return traces
 
