@@ -8,6 +8,10 @@ table[j + k] (_block_hankel).
 
 Dense storage only: the O(n^3) routines here are the ground truth the
 asymptotic formulas are checked against, so no fast solvers are used.
+A section whose coefficients satisfy a_{-k} == a_k^H entry for entry for
+every k (absent blocks counting as zero) is exactly Hermitian, and its
+eigenvalues come from LAPACK's Hermitian solver (eigvalsh), still a dense
+O(n^3) solve; every other section takes the general eigvals.
 """
 from __future__ import annotations
 
@@ -208,10 +212,33 @@ def log_det_scan(a, n_values):
     return np.asarray(out)
 
 
+def _is_hermitian(a):
+    """Whether a_{-k} == a_k^H entry for entry for every offset k.  Stored
+    blocks are nonzero, so a block without its mirror fails the test."""
+    coeffs = a.coeffs
+    if any(-k not in coeffs for k in coeffs):
+        return False
+    shape = (-1, a.block_size, a.block_size)  # (0, N, N) for the zero symbol
+    blocks = np.array(list(coeffs.values())).reshape(shape)
+    mirrors = np.array([coeffs[-k] for k in coeffs]).reshape(shape)
+    return bool(np.array_equal(mirrors, blocks.conj().transpose(0, 2, 1)))
+
+
 def trace_f_direct(a, n, f):
-    """sum_i f(lambda_i) over the eigenvalues of the dense section."""
+    """sum_i f(lambda_i) over the eigenvalues of the dense section.
+
+    An exactly Hermitian symbol (a_{-k} == a_k^H entry for entry for every
+    k, absent blocks counting as zero) has a Hermitian section, whose
+    eigenvalues come from LAPACK's Hermitian solver (eigvalsh): exactly
+    real, returned as complex numbers.  Every other symbol takes the
+    general eigvals.  Both are dense O(n^3) solves.
+    """
+    section = toeplitz_section(a, n)
     try:
-        evals = np.linalg.eigvals(toeplitz_section(a, n))
+        if _is_hermitian(a):
+            evals = np.linalg.eigvalsh(section).astype(complex)
+        else:
+            evals = np.linalg.eigvals(section)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
     if hasattr(f, "check"):

@@ -273,7 +273,8 @@ def trace_constant(a, f, contour):
 
     hats = _refine(step, max(a.grid_size, default_grid_size(2 * band)),
                    max(a.grid_size, 1 << 15), 1e-13)
-    ha = hankel_section(a, band)
+    # contiguous once here: numpy would copy the window view before every product
+    ha = np.ascontiguousarray(hankel_section(a, band))
     eye = np.eye(band * n)
     total = 0.0 + 0.0j
     for chunk, hat1, hat2 in hats:

@@ -228,6 +228,70 @@ def test_trace_square_convolution_identity():
         assert abs(direct - expected) < 1e-10
 
 
+@st.composite
+def _hermitian_symbols(draw):
+    """Random exactly Hermitian scalar or 2x2 symbol with offsets -3..3,
+    and a section size n in 0..12."""
+    size = draw(st.sampled_from([1, 2]))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+
+    def block():
+        parts = draw(st.lists(entries, min_size=2 * size * size, max_size=2 * size * size))
+        re, im = np.reshape(parts, (2, size, size))
+        return re + 1j * im
+
+    x = block()
+    coeffs = {0: x + x.conj().T}  # Hermitian bit for bit: + commutes, conj is exact
+    for k in draw(st.lists(st.integers(1, 3), unique=True, max_size=3)):
+        coeffs[k] = block()
+        coeffs[-k] = coeffs[k].conj().T
+    return tp.LaurentMatrixSeries(size, coeffs), draw(st.integers(0, 12))
+
+
+@given(_hermitian_symbols())
+def test_trace_f_hermitian_route_matches_exact_and_general(case):
+    # the Hermitian route against the exact square trace, and against the
+    # general eigensolver on the same section
+    a, n = case
+    square = tp.trace_f_direct(a, n, tp.SQUARE)
+    expected = sum((n + 1 - abs(m)) * np.trace(a.block(m) @ a.block(-m))
+                   for m in range(-n, n + 1))
+    scale = sum((n + 1 - abs(m)) * np.linalg.norm(a.block(m)) ** 2
+                for m in range(-n, n + 1))
+    assert square.imag == 0.0
+    # tiny: products of small coefficients underflow in either route
+    assert abs(square - expected) <= 1e-12 * scale + np.finfo(float).tiny
+    exp = tp.exponential()
+    general = np.sum(exp(np.linalg.eigvals(tp.toeplitz_section(a, n))))
+    assert abs(tp.trace_f_direct(a, n, exp) - general) <= 1e-12 * abs(general)
+
+
+def test_trace_f_dispatch_keeps_general_route():
+    # 1 + 2t is not normal: its section is lower triangular with every
+    # eigenvalue 1, while the Hermitian solver would read only the lower
+    # triangle, the symmetric tridiagonal with 2 beside the diagonal
+    exp = tp.exponential()
+    a = tp.scalar_symbol({0: 1.0, 1: 2.0})
+    for n in (3, 16, 64):
+        assert tp.trace_f_direct(a, n, exp) == pytest.approx((n + 1) * np.e, rel=1e-14)
+    # a Hermitian symbol with one coefficient moved by one ulp keeps the
+    # general eigensolver's bits
+    rng = np.random.default_rng(5)
+    blk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    moved = blk.conj().T.copy()
+    moved[0, 1] = complex(np.nextafter(moved[0, 1].real, np.inf), moved[0, 1].imag)
+    hermitian = {0: 3.0 * np.eye(2), 1: blk, -1: blk.conj().T}
+    for b in (tp.LaurentMatrixSeries(2, {**hermitian, -1: moved}),
+              tp.LaurentMatrixSeries(2, {0: 3.0 * np.eye(2), 1: blk})):
+        for f in (exp, tp.SQUARE):
+            got = tp.trace_f_direct(b, 6, f)
+            want = complex(np.sum(f(np.linalg.eigvals(tp.toeplitz_section(b, 6)))))
+            assert got == want
+    # the unmoved symbol takes the Hermitian route: an exactly real spectrum
+    got = tp.trace_f_direct(tp.LaurentMatrixSeries(2, hermitian), 6, exp)
+    assert got.imag == 0.0
+
+
 def test_widom_identity_at_section_level(rational_symbol):
     # I - section of T(a) T(a^-1) equals the section of H(a) H((a^-1)~)
     a = rational_symbol
