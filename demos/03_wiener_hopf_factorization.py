@@ -53,7 +53,7 @@ except tp.NonZeroWinding as exc:
 # Factorizations of a - lambda along a contour stay continuous in lambda
 # once the normalization pins them; the diagnostic gauges out the trivial
 # scale drift carried by the plus factor.
-spectrum = tp.estimate_spectrum(a, 64)
+spectrum = tp.estimate_spectrum(a)
 contour = tp.build_contour(spectrum, margin=4.0 - spectrum.max_radius, nodes=64)
 sweep = tp.factorization_sweep(a, contour, section=64)
 print(f"\ncontour sweep over {len(sweep.factors)} nodes: "

@@ -13,7 +13,7 @@ import toepasym as tp
 
 a = tp.scalar_symbol({0: 1.25, 1: -0.5, -1: -0.5})
 
-spectrum = tp.estimate_spectrum(a, 64)
+spectrum = tp.estimate_spectrum(a)
 print(f"spectrum estimate: {len(spectrum.points)} points in "
       f"[{spectrum.bbox[0]:.3f}, {spectrum.bbox[1]:.3f}] x "
       f"[{spectrum.bbox[2]:.1e}, {spectrum.bbox[3]:.1e}]i")
@@ -50,7 +50,7 @@ print(f"\nf = exp at n = {n}: direct {direct.real:.8f}, "
 # the Hoelder exponent, slope about -(2 gamma - 1).
 gamma = 0.75
 z = tp.zygmund_symbol(gamma, 9)
-sz = tp.estimate_spectrum(z, 64)
+sz = tp.estimate_spectrum(z)
 cz = tp.build_contour(sz, 0.5, nodes=128)
 fit = tp.trace_remainder_scan(z, tp.SQUARE, [8, 16, 32, 64, 128, 256], cz)
 print(f"\nlacunary symbol, gamma = {gamma}:")

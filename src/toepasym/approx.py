@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitDegenerate, GridTooCoarse
-from .symbol import LaurentMatrixSeries, _row_chunks, _sample_rows
+from .errors import FitDegenerate
+from .symbol import LaurentMatrixSeries, _check_grid, _row_chunks, _sample_rows
 
 DENSE_GRID = 4096
 SHIFT_SWEEP = 512
@@ -33,8 +33,7 @@ def _sweep_maxima(a, order, hs, grid_size):
     Delta_h g(x) = g(x+h) - g(x) (order 1) or g(x+h) - 2 g(x) + g(x-h)
     (order 2), sampled from the coefficients times the multiplier of
     Delta_h at offset k: 2i sin(kh/2) e^(ikh/2) or -4 sin(kh/2)^2."""
-    if grid_size < 2 or grid_size & (grid_size - 1):
-        raise GridTooCoarse(f"grid size {grid_size} is not a power of two")
+    _check_grid(grid_size)
     m = max(grid_size, a.grid_size)
     offsets = a.support()
     n = a.block_size
@@ -96,8 +95,7 @@ def near_best_approximation(f, n, grid_size=DENSE_GRID):
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if grid_size < 2 or grid_size & (grid_size - 1):
-        raise GridTooCoarse(f"grid size {grid_size} is not a power of two")
+    _check_grid(grid_size)
     kept = {k: blk for k, blk in f.coeffs.items() if abs(k) <= n}
     p = LaurentMatrixSeries(f.block_size, kept)
     tail = {k: blk for k, blk in f.coeffs.items() if abs(k) > n}

@@ -25,26 +25,21 @@ import numpy as np
 from .errors import NoConvergence
 from .factor import canonical_wiener_hopf, correction_symbols
 from .fitting import fit_decay
-from .symbol import _refine, _zero_winding_log, certified_inverse, reverse
-from .toeplitz import _offset_table, hankel_section, log_det_scan
+from .symbol import _log_det, certified_inverse, reverse
+from .toeplitz import _block_hankel, _offset_table, hankel_section, log_det_scan
 
 
 def log_geometric_mean(a):
     """Circle average of the branch-continuous log det of the symbol.
 
-    The grid is doubled from max(M, 512) until successive averages agree
-    to 1e-13 (trapezoid rule on a uniform periodic grid, so convergence is
-    spectral for trigonometric polynomials); NoConvergence is raised when
-    they do not by 2^17 nodes.  Raises NonZeroWinding when the
+    The mean of the log samples on the grid that symbol._log_det accepts:
+    the first grid, doubling from max(M, 1024), whose log has an alias
+    band at most 1e-13 of its largest coefficient (the trapezoid rule on
+    a uniform periodic grid, so convergence is spectral).  NoConvergence
+    is raised when none is by 2^17 nodes, NonZeroWinding when the
     determinant winds.
     """
-    def step(m, prev):
-        samples = a.sample(m).samples
-        det = samples[:, 0, 0] if a.block_size == 1 else np.linalg.det(samples)
-        val = complex(np.mean(_zero_winding_log(det)))
-        return val, np.inf if prev is None else abs(val - prev)
-
-    return _refine(step, max(a.grid_size, 512), 1 << 17, 1e-13)
+    return complex(np.mean(_log_det(a)[0]))
 
 
 def geometric_mean(a):
@@ -79,19 +74,15 @@ def strong_szego_series(a):
 
     Classical strong Szego form of the constant term, valid for scalar
     winding-zero symbols.  Kept separate from szego_constant so the two
-    routes cross-check each other.  The grid is doubled from max(M, 512)
-    until successive exponents agree to 1e-12, up to 2^17 nodes.
+    routes cross-check each other.  The coefficients of log a are those
+    of the grid that symbol._log_det accepts (alias band at most 1e-13,
+    grid doubling from max(M, 1024) up to 2^17 nodes).
     """
     if a.block_size != 1:
         raise ValueError("series oracle requires a scalar symbol")
-
-    def step(m, prev):
-        lhat = np.fft.fft(_zero_winding_log(a.sample(m).samples[:, 0, 0]), norm="forward")
-        ks = np.arange(1, m // 2)
-        val = complex(np.sum(ks * lhat[ks] * lhat[-ks % m]))
-        return val, np.inf if prev is None else abs(val - prev)
-
-    return complex(np.exp(_refine(step, max(a.grid_size, 512), 1 << 17, 1e-12)))
+    lhat = _log_det(a)[1]
+    ks = np.arange(1, len(lhat) // 2)
+    return complex(np.exp(np.sum(ks * lhat[ks] * lhat[-ks])))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +146,8 @@ def _correction_trace_series(b, c, p, upto):
         gs, v = [g0], y
         for k in range(1, p - 1):
             if k > 1:  # v <- H(c~) P_ell H(b) v
-                hankel = np.arange(j, live)[:, None] + 1 + np.arange(size)
-                hv = np.einsum("rsab,sbc->rac", bt[hankel], v)
-                v = np.einsum("rsab,rbc->sac", ct[hankel], hv)
+                hv = _block_hankel(bt[j + 1:], live - j, size) @ v.reshape(-1, n)
+                v = (_block_hankel(ct[j + 1:], size, live - j) @ hv).reshape(v.shape)
             gs.append(np.sum(x @ v, axis=0))
         t = tr0
         for g in gs[1:]:

@@ -183,7 +183,7 @@ def _cmd_widom_trace(args):
     a = symbol.load_symbol(args.symbol)
     f = parse_function_spec(args.f)
     ns = args.n_grid
-    spectrum = traces.estimate_spectrum(a, m=args.spectrum_m)
+    spectrum = traces.estimate_spectrum(a)
     contour = traces.build_contour(spectrum, args.margin, nodes=args.nodes)
     gf = traces.trace_mean(a, f)
     ef = traces.trace_constant(a, f, contour)
@@ -197,10 +197,7 @@ def _cmd_widom_trace(args):
                                _fmt(pred.real), _fmt(pred.imag),
                                _fmt(abs(d - pred))]))
     _emit(args.output, "\n".join(lines) + "\n")
-    target = None
-    if a.smoothness_tag is not None:
-        target = -(2.0 * a.smoothness_tag - 1.0) + 0.3
-    fit = fit_decay(ns, mags, target_slope=target)
+    fit = fit_decay(ns, mags, target_slope=traces._target_slope(a))
     _emit(args.fit_output, json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -310,7 +307,6 @@ def build_parser():
     p.add_argument("--n-grid", required=True, metavar="MIN:MAX:KIND")
     p.add_argument("--margin", type=float, default=0.5)
     p.add_argument("--nodes", type=int, default=256)
-    p.add_argument("--spectrum-m", type=int, default=64)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--fit-out", dest="fit_output", default="widom_fit.json")
     add_common(p)

@@ -19,10 +19,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditionedSection, NonCanonical, SpectrumTooClose
-from .symbol import (LaurentMatrixSeries, SymbolGrid, _block_maxima, _refine,
+from .symbol import (LaurentMatrixSeries, SymbolGrid, _block_maxima, _log_det,
                      _smallest_singular_values, _sum_in_order, _tail_cutoff,
-                     _zero_winding_log, add_constant, certified_inverse,
-                     coefficients_from_samples, multiply)
+                     add_constant, certified_inverse, coefficients_from_samples,
+                     multiply)
 from .toeplitz import toeplitz_section
 
 DEFAULT_TOL = 1e-8
@@ -110,19 +110,14 @@ def scalar_wiener_hopf(a):
     The branch-continuous logarithm g = log a is split into g_minus
     (negative offsets) and g_plus (positive offsets plus the constant),
     and the factors are exp(g_minus), exp(g_plus).  Requires winding
-    number zero.  The log is sampled on a grid doubled from
-    max(M, 1024) until its alias band is negligible; NoConvergence is
-    raised when that does not happen by 2^17 nodes.
+    number zero.  g is sampled on the grid that symbol._log_det accepts:
+    doubling from max(M, 1024) until the alias band of g (bins M/4..3M/4)
+    is at most 1e-13 of max(1, its largest bin); NoConvergence is raised
+    when that does not happen by 2^17 nodes.
     """
     if a.block_size != 1:
         raise ValueError("scalar path requires block size one")
-
-    def step(m, prev):
-        ghat = np.fft.fft(_zero_winding_log(a.sample(m).samples[:, 0, 0]), norm="forward")
-        alias = float(np.abs(ghat[m // 4: 3 * m // 4]).sum())
-        return ghat, alias / max(1.0, float(np.abs(ghat).max()))
-
-    ghat = _refine(step, max(a.grid_size, 1024), 1 << 17, 1e-13)
+    ghat = _log_det(a)[1]
     m = len(ghat)
     idx = np.arange(m)
     plus_mask = (idx <= m // 2)  # bins 0..m/2 hold offsets 0..m/2

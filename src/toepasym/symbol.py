@@ -35,6 +35,15 @@ def default_grid_size(max_offset):
     return _pow2_at_least(max(256, 8 * max_offset))
 
 
+def _check_grid(m, max_offset=0):
+    """Raise GridTooCoarse unless m is a power of two above 2 max_offset,
+    so that a grid of m nodes resolves offsets up to max_offset."""
+    if m < 2 or m & (m - 1):
+        raise GridTooCoarse(f"grid size {m} is not a power of two")
+    if m <= 2 * max_offset:
+        raise GridTooCoarse(f"grid size {m} aliases offsets up to {max_offset}")
+
+
 def _coerce_block(value, n):
     arr = np.asarray(value, dtype=complex)
     if arr.shape == () and n == 1:
@@ -98,12 +107,7 @@ class LaurentMatrixSeries:
         if self.grid_size == 0:
             object.__setattr__(self, "grid_size", default_grid_size(k_max))
         else:
-            m = self.grid_size
-            if m < 2 or m & (m - 1):
-                raise GridTooCoarse(f"grid size {m} is not a power of two")
-            if m <= 2 * k_max:
-                raise GridTooCoarse(
-                    f"grid size {m} aliases offsets up to {k_max}")
+            _check_grid(self.grid_size, k_max)
 
     @property
     def max_offset(self):
@@ -121,10 +125,7 @@ class LaurentMatrixSeries:
     def sample(self, grid_size=None):
         """Evaluate on the uniform grid t_j = exp(2 pi i j / M) via FFT."""
         m = self.grid_size if grid_size is None else int(grid_size)
-        if m < 2 or m & (m - 1):
-            raise GridTooCoarse(f"grid size {m} is not a power of two")
-        if m <= 2 * self.max_offset:
-            raise GridTooCoarse(f"grid size {m} aliases offsets up to {self.max_offset}")
+        _check_grid(m, self.max_offset)
         n = self.block_size
         stacked = np.array(list(self.coeffs.values()), dtype=complex).reshape(-1, n, n)
         return SymbolGrid(n, _sample_rows(list(self.coeffs), stacked[None], m)[0])
@@ -147,9 +148,7 @@ class SymbolGrid:
         if arr.ndim != 3 or arr.shape[1:] != (self.block_size, self.block_size):
             raise BlockSizeMismatch(
                 f"samples have shape {arr.shape}, expected (M, N, N)")
-        m = arr.shape[0]
-        if m < 2 or m & (m - 1):
-            raise GridTooCoarse(f"sample count {m} is not a power of two")
+        _check_grid(arr.shape[0])
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -380,20 +379,19 @@ def _guarded_inverse(samples):
 
 
 def _refine(step, start, cap, tol):
-    """Adaptive doubling: call step(m, prev) at m = start, 2 start, ... <= cap.
+    """Adaptive doubling: call step(m) at m = start, 2 start, ... <= cap.
 
-    ``step`` returns (value, gap), where prev is the value of the previous
-    call (None on the first); the first value whose gap is at most ``tol``
-    is returned.  Otherwise NoConvergence names the stage (the function
-    that defines ``step``), the last resolution and the last gap.
+    ``step`` returns (value, gap), a value and the certificate of its own
+    accuracy; the first value whose gap is at most ``tol`` is returned.
+    Otherwise NoConvergence names the stage (the function that defines
+    ``step``), the last resolution and the last gap.
     """
     stage = step.__qualname__.split(".")[0]
-    m, prev, gap = start, None, None
+    m, gap = start, None
     while m <= cap:
-        value, gap = step(m, prev)
+        value, gap = step(m)
         if gap <= tol:
             return value
-        prev = value
         m *= 2
     if gap is None:
         raise NoConvergence(f"{stage}: start resolution {start} exceeds the cap {cap}")
@@ -434,7 +432,7 @@ def certified_inverse(a, tol=1e-13):
     runs only when 1 / ||a^-1||_F does not certify the margin or the
     inverse is too ill-conditioned to trust (see _guarded_inverse).
     """
-    def step(m, prev):
+    def step(m):
         samples = a.sample(m).samples
         inv, margins = _guarded_inverse(samples)
         if margins is not None:
@@ -453,32 +451,6 @@ def certified_inverse(a, tol=1e-13):
     return series
 
 
-def _zero_winding_log(values):
-    """Branch-continuous log samples along a closed sampled curve.
-
-    The phase is accumulated from consecutive ratios so each step stays in
-    (-pi, pi]; the total increment, rounded to a multiple of 2 pi, is the
-    winding number.  Raises SingularSymbol when values approach zero and
-    NonZeroWinding when the winding number is not zero.
-    """
-    absv = np.abs(values)
-    if _singular_rows(absv):
-        _raise_singular(absv)
-    steps = np.angle(np.roll(values, -1) / values)
-    w = int(round(float(steps.sum()) / (2 * np.pi)))
-    if w != 0:
-        raise NonZeroWinding(f"winding number {w} != 0")
-    phase = np.angle(values[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    return np.log(absv) + 1j * phase
-
-
-def _singular_rows(absv):
-    """Rows of magnitudes (..., M) that vanish or whose smallest entry is
-    at most 1e-12 times their largest."""
-    scale = absv.max(axis=-1)
-    return (scale == 0.0) | (absv.min(axis=-1) <= 1e-12 * scale)
-
-
 def _raise_singular(absv):
     j = int(np.argmin(absv))
     raise SingularSymbol(f"determinant magnitude {absv[j]:.3e} at grid node {j}")
@@ -491,15 +463,17 @@ _SINGULAR, _STEEP, _OFF_MULTIPLE = 1, 2, 3
 def _winding_rows(det):
     """Winding decision for closed curves sampled along the rows of det (R, M).
 
-    Returns (w, fault, total, max_step) per row: the phase total (sum of
-    the steps between consecutive samples, each in (-pi, pi]), the largest
-    step, and w = total / 2 pi rounded.  fault is 0 when the row winds w
-    times, _SINGULAR when it comes within 1e-12 of zero (relative to
-    its largest magnitude), _STEEP when a step reaches pi/2 (the grid is
-    too coarse to track the branch) and _OFF_MULTIPLE when the total is
-    more than 0.5 away from 2 pi w.
+    Returns (w, fault, steps) per row: the steps are the phase increments
+    between consecutive samples, each in (-pi, pi], and w is their total
+    over 2 pi, rounded.  fault is 0 when the row winds w times, _SINGULAR
+    when it comes within 1e-12 of zero (relative to its largest
+    magnitude), _STEEP when a step reaches pi/2 (the grid is too coarse to
+    track the branch) and _OFF_MULTIPLE when the total is more than 0.5
+    away from 2 pi w; w is 0 for a faulty row.
     """
-    singular = _singular_rows(np.abs(det))
+    absv = np.abs(det)
+    scale = absv.max(axis=-1)
+    singular = (scale == 0.0) | (absv.min(axis=-1) <= 1e-12 * scale)
     # a singular row may hold exact zeros; its steps are not used
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.angle(np.roll(det, -1, axis=-1) / det)
@@ -510,30 +484,67 @@ def _winding_rows(det):
             [singular, max_step >= np.pi / 2, np.abs(total - 2 * np.pi * w) > 0.5],
             [_SINGULAR, _STEEP, _OFF_MULTIPLE], 0)
         w = np.where(fault == 0, w, 0).astype(int)
-    return w, fault, total, max_step
+    return w, fault, steps
 
 
-def winding_number(a, grid_size=None):
-    """Winding number of theta -> det a(e^{i theta}) around zero.
+def _det_samples(a, m):
+    """det a on the M-point grid; for N = 1 the symbol's own samples."""
+    samples = a.sample(m).samples
+    return samples[:, 0, 0] if a.block_size == 1 else np.linalg.det(samples)
+
+
+def winding_number(a):
+    """Winding number of theta -> det a(e^{i theta}) around zero, on a's grid.
 
     Raises SingularSymbol when the determinant comes within 1e-12 of zero
     relative to its largest magnitude, and GridTooCoarse when any per-step
     phase jump reaches pi/2, which signals that the grid is too coarse to
     track the branch.
     """
-    m = grid_size or a.grid_size
-    samples = a.sample(m).samples
-    det = samples[:, 0, 0] if a.block_size == 1 else np.linalg.det(samples)
-    (w,), (fault,), (total,), (max_step,) = _winding_rows(det[None])
+    det = _det_samples(a, a.grid_size)
+    (w,), (fault,), (steps,) = _winding_rows(det[None])
     if fault == _SINGULAR:
         _raise_singular(np.abs(det))
     if fault == _STEEP:
-        raise GridTooCoarse(
-            f"phase step {max_step:.3f} >= pi/2 on a grid of {m} nodes")
+        raise GridTooCoarse(f"phase step {np.abs(steps).max():.3f} >= pi/2 "
+                            f"on a grid of {a.grid_size} nodes")
     if fault == _OFF_MULTIPLE:
         raise GridTooCoarse(
-            f"accumulated phase {total:.6f} is not close to a multiple of 2 pi")
+            f"accumulated phase {steps.sum():.6f} is not close to a multiple of 2 pi")
     return int(w)
+
+
+def _log_det(a):
+    """Branch-continuous log det a on the first grid that resolves it.
+
+    Returns (g, ghat): the log samples on the accepted M-point grid and
+    their FFT (norm "forward", so ghat[k] is the coefficient at offset k
+    for |k| < M/4).  The grid doubles from max(M, 1024) up to 2^17 nodes.
+    On each grid the winding decision of _winding_rows is taken: a
+    singular determinant raises SingularSymbol and a nonzero winding
+    number NonZeroWinding, while a steep or off-multiple phase total
+    (the grid cannot track the branch) rejects the grid.  The phase
+    accumulates the steps between consecutive samples, each in (-pi, pi],
+    from the angle of the first.  A grid is accepted when the alias band
+    (bins M/4..3M/4) holds at most 1e-13 of max(1, largest bin);
+    NoConvergence is raised when none is by the cap.
+    """
+    def log_det(m):
+        det = _det_samples(a, m)
+        (w,), (fault,), (steps,) = _winding_rows(det[None])
+        if fault == _SINGULAR:
+            _raise_singular(np.abs(det))
+        if w != 0:
+            raise NonZeroWinding(f"winding number {w} != 0")
+        if fault:
+            return None, np.inf
+        phase = np.angle(det[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+        g = np.log(np.abs(det)) + 1j * phase
+        ghat = np.fft.fft(g, norm="forward")
+        alias = float(np.abs(ghat[m // 4: 3 * m // 4]).sum())
+        return (g, ghat), alias / max(1.0, float(np.abs(ghat).max()))
+
+    return _refine(log_det, max(a.grid_size, 1024), 1 << 17, 1e-13)
 
 
 # ---------------------------------------------------------------------------

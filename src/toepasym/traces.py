@@ -65,9 +65,13 @@ class ContourSpec:
     radius: float
 
 
-def estimate_spectrum(a, m=64):
-    """Eigenvalues of the m-th sections of both Toeplitz operators plus the
-    pointwise eigenvalues of the symbol.
+#: section size of estimate_spectrum
+SPECTRUM_SECTION = 64
+
+
+def estimate_spectrum(a):
+    """Eigenvalues of the SPECTRUM_SECTION-th sections of both Toeplitz
+    operators plus the pointwise eigenvalues of the symbol.
 
     For scalar symbols, points of a coarse 25 x 25 grid over the cloud's
     bounding box with nonzero winding of a - lambda are added (interior of
@@ -75,11 +79,9 @@ def estimate_spectrum(a, m=64):
     where the winding number of a - lambda is undefined (winding_number
     would raise).  All grid points are decided in batched passes.
     """
-    if m < 64:
-        raise ValueError("section size m must be >= 64")
     try:
-        ev_plus = np.linalg.eigvals(toeplitz_section(a, m))
-        ev_minus = np.linalg.eigvals(toeplitz_section(reverse(a), m))
+        ev_plus = np.linalg.eigvals(toeplitz_section(a, SPECTRUM_SECTION))
+        ev_minus = np.linalg.eigvals(toeplitz_section(reverse(a), SPECTRUM_SECTION))
         samples = a.sample().samples
         ev_symbol = (samples[:, 0, 0] if a.block_size == 1
                      else np.linalg.eigvals(samples).ravel())
@@ -93,7 +95,7 @@ def estimate_spectrum(a, m=64):
         lams = (re[:, None] + 1j * im[None, :]).ravel()
         marked = np.zeros(lams.size, dtype=bool)
         for rows in _row_chunks(lams.size, a.grid_size):
-            w, fault, _, _ = _winding_rows(_sample_shifted(a, lams[rows])[:, :, 0, 0])
+            w, fault, _ = _winding_rows(_sample_shifted(a, lams[rows])[:, :, 0, 0])
             # a faulty row lies on or next to the symbol curve
             marked[rows] = (w != 0) | (fault != 0)
         if marked.any():
@@ -238,7 +240,7 @@ def trace_constant(a, f, contour):
     fvals = f(contour.nodes)
     used = slice(-(2 * band - 1), None)  # the FFT bins of offsets -(2W-1)..-1
 
-    def step(m_grid, prev):
+    def step(m_grid):
         samples = a.sample(m_grid).samples
         folded = slice(m_grid // 2 - (2 * band - 1), m_grid // 2)  # used + M/2
         # per power of the resolvent: largest used bin, folded bin, M x sample
@@ -292,11 +294,20 @@ def trace_constant(a, f, contour):
     return complex(total / (2j * np.pi))
 
 
+def _target_slope(a):
+    """Band slope -(2 gamma - 1) + 0.3 that the trace remainder of a symbol
+    tagged with smoothness gamma should meet; None for an untagged one."""
+    if a.smoothness_tag is None:
+        return None
+    return -(2.0 * a.smoothness_tag - 1.0) + 0.3
+
+
 def trace_remainder_scan(a, f, n_grid, contour):
     """Decay fit of |tr f(T_n) - predicted| over the grid of n.
 
     When the symbol carries a smoothness tag gamma, the fit also reports
-    whether the slope meets the predicted band slope <= -(2 gamma - 1) + 0.3.
+    whether the slope meets the band slope -(2 gamma - 1) + 0.3
+    (_target_slope, which the widom-trace command shares).
     Residuals at the numerical floor for every grid point raise
     FitDegenerate with the flag "exact regime" (polynomial f on a
     band-limited symbol makes the prediction an identity at finite n).
@@ -310,7 +321,4 @@ def trace_remainder_scan(a, f, n_grid, contour):
     for n in ns:
         direct = trace_f_direct(a, n, f)
         mags.append(abs(direct - ((n + 1) * gf + ef)))
-    target = None
-    if a.smoothness_tag is not None:
-        target = -(2.0 * a.smoothness_tag - 1.0) + 0.3
-    return fit_decay(ns, mags, target_slope=target)
+    return fit_decay(ns, mags, target_slope=_target_slope(a))

@@ -24,7 +24,7 @@ def rational():
 
 @pytest.fixture(scope="module")
 def rational_contour(rational):
-    spectrum = tp.estimate_spectrum(rational, 64)
+    spectrum = tp.estimate_spectrum(rational)
     return spectrum, tp.build_contour(spectrum, 0.5)
 
 
@@ -112,9 +112,10 @@ def test_criterion_05_widom_exactness(rational, rational_contour):
             f"|E_f + 0.5| = {err_ef:.2e}, worst identity defect {worst:.2e} <= 1e-9")
 
 
+@pytest.mark.slow
 def test_criterion_06_main_trace_rate():
     z = tp.zygmund_symbol(0.75, 9)
-    spectrum = tp.estimate_spectrum(z, 64)
+    spectrum = tp.estimate_spectrum(z)
     contour = tp.build_contour(spectrum, 0.5, nodes=128)
     fit = tp.trace_remainder_scan(z, tp.SQUARE, GRID, contour)
     band = -(2 * 0.75 - 1) + 0.3

@@ -226,3 +226,52 @@ def test_szego_constant_matches_strong_szego_series(a):
     log_corner = np.log(tp.szego_constant(a))
     log_series = np.log(tp.strong_szego_series(a))
     assert abs(log_corner - log_series) <= 1e-10
+
+
+def _log_series_oracle(a, terms=80):
+    """G(a) and E(a) with no FFT and no branch tracking: a = c0 (1 + p)
+    with |p| <= 1/2 on the circle, and log(1 + p) = sum_n (-1)^(n+1) p^n / n
+    by exact convolution of the coefficients of p (offsets -3..3)."""
+    c0 = complex(a.block(0)[0, 0])
+    p = np.array([0j if k == 0 else complex(a.block(k)[0, 0]) / c0 for k in range(-3, 4)])
+    log1p = np.zeros(6 * terms + 1, dtype=complex)  # offsets -3 terms..3 terms
+    power = np.ones(1, dtype=complex)
+    for n in range(1, terms + 1):
+        power = np.convolve(power, p)  # offsets -3n..3n
+        mid = 3 * terms
+        log1p[mid - 3 * n: mid + 3 * n + 1] += (-1) ** (n + 1) * power / n
+    ks = np.arange(1, 3 * terms + 1)
+    g = c0 * np.exp(log1p[3 * terms])
+    e = np.exp(np.sum(ks * log1p[3 * terms + ks] * log1p[3 * terms - ks]))
+    return g, e
+
+
+@given(_winding_zero_scalars())
+def test_log_stage_matches_series_oracle(a):
+    g, e = _log_series_oracle(a)
+    assert abs(tp.geometric_mean(a) - g) <= 1e-12 * abs(g)
+    assert abs(tp.strong_szego_series(a) - e) <= 1e-12 * abs(e)
+
+
+@pytest.mark.parametrize("fn", [tp.log_geometric_mean, tp.strong_szego_series])
+def test_log_stage_samples_fixture_once(fn, rational_symbol, monkeypatch):
+    # the first grid's log has no alias mass, so it is accepted, not compared
+    grids = []
+    sample = tp.LaurentMatrixSeries.sample
+
+    def counted(self, grid_size=None):
+        grids.append(grid_size)
+        return sample(self, grid_size)
+
+    monkeypatch.setattr(tp.LaurentMatrixSeries, "sample", counted)
+    fn(rational_symbol)
+    assert grids == [1024]
+
+
+@pytest.mark.parametrize("fn", [tp.log_geometric_mean, tp.strong_szego_series,
+                                tp.scalar_wiener_hopf])
+def test_log_stage_raises_at_the_cap(fn):
+    # log(1 - 0.9999 t) has coefficients -0.9999^k / k: its alias band
+    # still holds 9e-3 on 2^17 nodes
+    with pytest.raises(tp.NoConvergence, match=r"^_log_det: .* at the cap resolution 131072"):
+        fn(tp.scalar_symbol({0: 1.0, 1: -0.9999}))

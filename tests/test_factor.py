@@ -228,7 +228,7 @@ def test_sweep_constant_symbol():
 
 
 def test_sweep_scalar_fixture_circle(rational_symbol):
-    s = tp.estimate_spectrum(rational_symbol, 64)
+    s = tp.estimate_spectrum(rational_symbol)
     contour = tp.build_contour(s, margin=4.0 - s.max_radius, nodes=64)
     sweep = tp.factorization_sweep(rational_symbol, contour, section=64)
     assert sweep.max_product_residual <= 1e-8

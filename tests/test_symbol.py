@@ -158,7 +158,7 @@ def test_certified_inverse_raises_at_grid_cap():
 def test_refine_raises_with_stage_and_gap():
     from toepasym.symbol import _refine
 
-    def never_settles(m, prev):
+    def never_settles(m):
         return m, 1.0
 
     with pytest.raises(tp.NoConvergence) as info:
@@ -174,7 +174,7 @@ def test_refine_returns_first_settled_value():
     from toepasym.symbol import _refine
     seen = []
 
-    def halving(m, prev):
+    def halving(m):
         seen.append(m)
         return m, 1.0 / m
 
@@ -347,7 +347,7 @@ def test_winding_positive_scaling_invariance(rational_symbol):
 def test_winding_grid_too_coarse():
     spike = tp.scalar_symbol({100: 1.0}, grid_size=256)
     with pytest.raises(tp.GridTooCoarse):
-        tp.winding_number(spike, grid_size=256)
+        tp.winding_number(spike)
 
 
 def test_winding_singular():

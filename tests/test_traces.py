@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.symbol import _BATCH_SAMPLES, default_grid_size
+from toepasym.traces import SPECTRUM_SECTION
 from conftest import assemble
 
 
 @pytest.fixture
 def fixture_contour(rational_symbol):
-    spectrum = tp.estimate_spectrum(rational_symbol, 64)
+    spectrum = tp.estimate_spectrum(rational_symbol)
     return spectrum, tp.build_contour(spectrum, 0.5)
 
 
@@ -39,20 +40,20 @@ def test_log_domain_check():
 
 def test_estimate_spectrum_constant_matrix():
     a = np.array([[1.0, 0.5], [0.0, 3.0]])
-    s = tp.estimate_spectrum(tp.constant_symbol(a), 64)
+    s = tp.estimate_spectrum(tp.constant_symbol(a))
     for ev in (1.0, 3.0):
         assert np.min(np.abs(s.points - ev)) < 1e-8
 
 
 def test_estimate_spectrum_fixture(rational_symbol):
-    s = tp.estimate_spectrum(rational_symbol, 64)
+    s = tp.estimate_spectrum(rational_symbol)
     assert s.bbox[0] >= 0.25 - 1e-6 and s.bbox[1] <= 2.25 + 1e-6
     assert abs(s.bbox[2]) < 1e-8 and abs(s.bbox[3]) < 1e-8
 
 
 def test_estimate_spectrum_winding_interior():
     # a(t) = t: the spectrum is the closed unit disk
-    s = tp.estimate_spectrum(tp.scalar_symbol({1: 1.0}), 64)
+    s = tp.estimate_spectrum(tp.scalar_symbol({1: 1.0}))
     assert np.min(np.abs(s.points)) < 0.2  # interior points marked
 
 
@@ -86,9 +87,8 @@ def test_estimate_spectrum_interior_matches_winding_number(name, rational_symbol
          "several_batches": tp.zygmund_symbol(0.5, 9, seed=7)}[name]
     if name == "several_batches":
         assert _BATCH_SAMPLES // a.grid_size < 625 // 4  # the 25 x 25 grid
-    m = 64
-    s = tp.estimate_spectrum(a, m)
-    n_base = 2 * (m + 1) + a.grid_size  # both sections' eigenvalues, the samples
+    s = tp.estimate_spectrum(a)
+    n_base = 2 * (SPECTRUM_SECTION + 1) + a.grid_size  # both sections' eigenvalues, the samples
     expected = _per_point_interior(a, s.points[:n_base])
     assert len(expected) > 0
     np.testing.assert_array_equal(s.points[n_base:], expected)
@@ -288,7 +288,7 @@ def test_trace_constant_fixture(rational_symbol, fixture_contour):
 
 def test_trace_constant_constant_symbol():
     a = tp.constant_symbol(np.array([[1.0, 0.3], [0.0, 2.0]]))
-    s = tp.estimate_spectrum(a, 64)
+    s = tp.estimate_spectrum(a)
     c = tp.build_contour(s, 0.5)
     for f in (tp.SQUARE, tp.exponential(), tp.polynomial((0.0, 1.0))):
         assert abs(tp.trace_constant(a, f, c)) < 1e-12
@@ -442,7 +442,7 @@ def test_batched_trace_constant_matches_per_node(name, two_block_symbol, rationa
     a = {"two_block": two_block_symbol, "lacunary": _lacunary_block(0.75, 4, 3),
          "hermitian3": _hermitian3(5), "scalar": rational_symbol,
          "one_node_left": two_block_symbol}[name]
-    contour = tp.build_contour(tp.estimate_spectrum(a, 64), 0.5, nodes=64)
+    contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
     if name == "one_node_left":
         # the last chunk of the start grid, which this symbol accepts, holds one node
         band = max(a.coeffs)
@@ -460,7 +460,7 @@ def test_trace_constant_guard_fallback_matches_per_node(two_block_symbol):
     # bound does not certify it and the exact SVD decides
     from toepasym.symbol import _guarded_inverse
     a = tp.LaurentMatrixSeries(2, {k: 3e-10 * blk for k, blk in two_block_symbol.coeffs.items()})
-    spectrum = tp.estimate_spectrum(two_block_symbol, 64)
+    spectrum = tp.estimate_spectrum(two_block_symbol)
     contour = _circle(3e-10 * spectrum.centroid, 3e-10 * (spectrum.max_radius + 0.5), 64)
     shifted = a.sample().samples - contour.nodes[0] * np.eye(2)  # the grid it accepts
     inv, margins = _guarded_inverse(shifted)
@@ -474,7 +474,7 @@ def test_trace_constant_matches_fine_grid(name, two_block_symbol, rational_symbo
     a = {"two_block": two_block_symbol, "lacunary": _lacunary_block(0.75, 4, 3),
          "hermitian3": _hermitian3(5), "scalar": rational_symbol,
          "zygmund": tp.zygmund_symbol(0.75, 5)}[name]
-    contour = tp.build_contour(tp.estimate_spectrum(a, 64), 0.5, nodes=64)
+    contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
     traces = _node_traces(a, contour, grid=16384)
     for f in (tp.SQUARE, tp.exponential()):
         ef = tp.trace_constant(a, f, contour)
@@ -486,7 +486,7 @@ def test_trace_constant_builds_corners_once(monkeypatch):
     # this symbol rejects its start grid 256 and accepts 512
     import toepasym.traces
     a = _lacunary_block(0.75, 4, 3)
-    contour = tp.build_contour(tp.estimate_spectrum(a, 64), 0.5, nodes=64)
+    contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
     grids, counts = [], {"hankel_section": 0, "solve": 0}
     sample, hankel, solve = tp.LaurentMatrixSeries.sample, tp.hankel_section, np.linalg.solve
 
@@ -532,7 +532,7 @@ def test_trace_constant_one_sided_symbol(geometric_symbol):
     # T_n(a) is triangular, tr f(T_n(a)) = (n+1) f(a_0) = (n+1) G_f: E_f = 0.
     # The resolvent has no negative offsets, so the used bins are round-off
     # on every grid and the start grid is accepted.
-    contour = tp.build_contour(tp.estimate_spectrum(geometric_symbol, 64), 0.5)
+    contour = tp.build_contour(tp.estimate_spectrum(geometric_symbol), 0.5)
     for f in (tp.SQUARE, tp.exponential()):
         assert abs(tp.trace_constant(geometric_symbol, f, contour)) < 1e-15
 
@@ -577,7 +577,7 @@ def test_trace_remainder_scan_grid_validation(rational_symbol, fixture_contour):
 @pytest.mark.slow
 def test_trace_remainder_scan_zygmund_band():
     z = tp.zygmund_symbol(0.75, 9)
-    s = tp.estimate_spectrum(z, 64)
+    s = tp.estimate_spectrum(z)
     contour = tp.build_contour(s, 0.5, nodes=128)
     fit = tp.trace_remainder_scan(z, tp.SQUARE, [8, 16, 32, 64, 128, 256], contour)
     assert fit.target_slope == pytest.approx(-0.2)
@@ -588,7 +588,7 @@ def test_trace_remainder_scan_zygmund_band():
 def test_trace_remainder_scan_exponential_function():
     # entire f, scaled to keep the integrand tame on the contour
     z = tp.zygmund_symbol(1.25, 9)
-    s = tp.estimate_spectrum(z, 64)
+    s = tp.estimate_spectrum(z)
     contour = tp.build_contour(s, 0.5, nodes=128)
     f = tp.exponential(0.25)
     fit = tp.trace_remainder_scan(z, f, [8, 16, 32, 64, 128, 256], contour)
