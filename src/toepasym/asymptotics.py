@@ -34,10 +34,10 @@ def log_geometric_mean(a):
 
     The mean of the log samples on the grid that symbol._log_det accepts:
     the first grid, doubling from max(M, 1024), whose log has an alias
-    band at most 1e-13 of its largest coefficient (the trapezoid rule on
-    a uniform periodic grid, so convergence is spectral).  NoConvergence
-    is raised when none is by 2^17 nodes, NonZeroWinding when the
-    determinant winds.
+    band at most 1e-13 of max(1, its largest coefficient) (the trapezoid
+    rule on a uniform periodic grid, so convergence is spectral).
+    NoConvergence is raised when none is by 2^17 nodes, NonZeroWinding
+    when the determinant winds.
     """
     return complex(np.mean(_log_det(a)[0]))
 
