@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .factor import canonical_wiener_hopf, correction_symbols
+from .factor import _split_log, canonical_wiener_hopf, correction_symbols
 from .fitting import fit_decay
 from .symbol import _log_det, certified_inverse, reverse
 from .toeplitz import _block_hankel, _offset_table, hankel_section, log_det_scan
@@ -159,7 +159,12 @@ def _correction_trace_series(b, c, p, upto):
 
 
 def _expansion_pieces(a, p, factors, upto):
-    log_g = log_geometric_mean(a)
+    if p >= 2 and factors is None and a.block_size == 1:
+        # one branch-log stage gives log G and the scalar Wiener-Hopf split
+        g, ghat = _log_det(a)
+        log_g, factors = complex(np.mean(g)), _split_log(a, ghat)
+    else:
+        log_g = log_geometric_mean(a)
     log_e = complex(np.log(szego_constant(a)))
     if p < 2:
         return log_g, log_e, np.zeros(upto, dtype=complex)

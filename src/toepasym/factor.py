@@ -9,21 +9,28 @@ T_m(a)^-1, which carries the coefficients of u_plus^-1, and, by a
 transposed solve, that of T_m(a^T)^-1, which carries the transposed
 coefficients of v_plus^-1.  Its failure mode (ill-conditioning, large
 residuals) doubles as the detector for nonzero partial indices.
+
+The section is banded: with kl subdiagonals and ku superdiagonals (kl
+and ku are about N times the positive and negative bandwidths of a), it
+is built and factored in LAPACK band storage (gbtrf, gbcon, gbtrs), in
+O(m N kl (kl + ku)) time and (2 kl + ku + 1)(m + 1) N complex entries of
+memory.  The dense section is never formed; the dense routines of
+toeplitz stay the oracles.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IllConditionedSection, NonCanonical, SpectrumTooClose
 from .symbol import (LaurentMatrixSeries, SymbolGrid, _block_maxima, _log_det,
                      _smallest_singular_values, _sum_in_order, _tail_cutoff,
                      add_constant, certified_inverse, coefficients_from_samples,
                      multiply)
-from .toeplitz import toeplitz_section
+from .toeplitz import _offset_table
 
 DEFAULT_TOL = 1e-8
 
@@ -117,7 +124,12 @@ def scalar_wiener_hopf(a):
     """
     if a.block_size != 1:
         raise ValueError("scalar path requires block size one")
-    ghat = _log_det(a)[1]
+    return _split_log(a, _log_det(a)[1])
+
+
+def _split_log(a, ghat):
+    """scalar_wiener_hopf's factors from ghat, the FFT of log a that
+    symbol._log_det returns for the scalar symbol a."""
     m = len(ghat)
     idx = np.arange(m)
     plus_mask = (idx <= m // 2)  # bins 0..m/2 hold offsets 0..m/2
@@ -152,8 +164,65 @@ def _check_section(section):
         raise ValueError(f"section must be >= 1, got {section}")
 
 
+def _clipped_support(a, m):
+    """Offsets lo <= 0 <= hi spanning the support of a, clipped to -m..m:
+    the diagonals of blocks that T_m(a) holds."""
+    lo = max(min(min(a.coeffs, default=0), 0), -m)
+    hi = min(max(max(a.coeffs, default=0), 0), m)
+    return lo, hi
+
+
+def _band_section(a, m):
+    """T_m(a) in LAPACK band storage for gbtrf: returns (ab, kl, ku).
+
+    Block (J, K) of T_m(a) is a_{J-K}, so with lo, hi from
+    _clipped_support entry (i, j) is nonzero only for -ku <= i - j <= kl,
+    kl = (hi + 1) N - 1 and ku = (1 - lo) N - 1, both at most
+    dim - 1 = (m + 1) N - 1 by the clipping.  Entry (i, j) sits at
+    ab[kl + ku + i - j, j]; the top kl rows are gbtrf's room for fill-in.
+    Column (K, s) holds the s-th columns of the blocks a_lo..a_hi stacked,
+    the same vector for every K, so the band is one broadcast of the
+    offset table, times a 0/1 mask that zeroes the two corner triangles
+    falling outside the matrix.  The array is in Fortran order, so gbtrf
+    can factor it in place.
+    """
+    n = a.block_size
+    dim = (m + 1) * n
+    lo, hi = _clipped_support(a, m)
+    kl, ku = (hi + 1) * n - 1, (1 - lo) * n - 1
+    ldab = 2 * kl + ku + 1
+    stacked = _offset_table(a, lo, hi).reshape(-1, n)  # row (d - lo) N + r
+    template = np.zeros((n, ldab), dtype=complex)
+    for s in range(n):  # a_lo[0, s] sits at i - j = lo N - s
+        template[s, kl + n - 1 - s:ldab - s] = stacked[:, s]
+    # band row q of column j holds matrix row q - kl - ku + j, which lies in
+    # the matrix exactly when kl + ku <= q + j < dim + kl + ku: a 0/1 Hankel
+    inside = np.zeros(dim + ldab - 1)
+    inside[kl + ku:dim + kl + ku] = 1.0
+    hankel = sliding_window_view(inside, ldab).reshape(m + 1, n, ldab)
+    ab = np.multiply(hankel, template)  # row K N + s is column (K, s)
+    return ab.reshape(dim, ldab).T, kl, ku
+
+
+def _section_norms(a, m):
+    """1-norm and inf-norm of T_m(a), read from the blocks of a.
+
+    Block row J meets the offsets d with 0 <= J - d <= m, and block column
+    K those with 0 <= (m - K) - d <= m, so row J and column m - K sum the
+    same window of offsets: one 0/1 window matrix times the row sums and
+    the column sums of the |a_d| gives every row and column sum.
+    """
+    lo, hi = _clipped_support(a, m)
+    mag = np.abs(_offset_table(a, lo, hi))[::-1]  # offsets hi down to lo
+    box = np.zeros(m + hi - lo + 1)
+    box[hi:hi + m + 1] = 1.0  # J - d = 0..m
+    meets = sliding_window_view(box, hi - lo + 1)  # [J, hi - d]
+    return {"1": float((meets @ mag.sum(axis=1)).max()),
+            "I": float((meets @ mag.sum(axis=2)).max())}
+
+
 def _first_column_solve(a, m):
-    """The u_plus^-1 and v_plus^-1 coefficients of a from one LU of T_m(a).
+    """The u_plus^-1 and v_plus^-1 coefficients of a from one band LU of T_m(a).
 
     The first block column of T_m(a)^-1 carries u_plus^-1.  Its transpose
     a^T = v_minus^T v_plus^T is the right factorization of a^T, so the
@@ -162,31 +231,23 @@ def _first_column_solve(a, m):
     solution of T_m(a)^T Y = E_m, a transposed solve on the same LU.
     """
     n = a.block_size
-    t = toeplitz_section(a, m)
-    # both norms before the LU, so no |t| temporary sits beside its copy
-    norms = {"1": float(np.linalg.norm(t, 1)), "I": float(np.linalg.norm(t, np.inf))}
-    try:
-        # the section copies blocks of a LaurentMatrixSeries, whose
-        # construction (_normalize_coeffs) rejects non-finite blocks; an
-        # exactly singular section warns here and fails the rcond check
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(t, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise IllConditionedSection(str(exc)) from exc
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (t,))
-    # the "1" norm conditions the solve, the "I" norm the transposed one
+    norms = _section_norms(a, m)
+    ab, kl, ku = _band_section(a, m)
+    lapack = scipy.linalg.lapack
+    lu, piv, info = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+    # the "1" norm conditions the solve, the "I" norm the transposed one;
+    # an exact zero pivot (info > 0) counts as condition estimate 1e300
     for norm, anorm in norms.items():
-        rcond, info = gecon(lu, anorm, norm=norm)
-        if info != 0 or rcond < 1e-10:
+        rcond = lapack.zgbcon(kl, ku, lu, piv, anorm, norm=norm)[0] if info == 0 else 0.0
+        if rcond < 1e-10:
             raise IllConditionedSection(
                 f"section condition estimate {1.0 / max(rcond, 1e-300):.3e} exceeds 1e10")
     e0 = np.zeros(((m + 1) * n, n), dtype=complex)
     e0[:n, :n] = np.eye(n)
-    x = scipy.linalg.lu_solve((lu, piv), e0)
+    x, _ = lapack.zgbtrs(lu, kl, ku, e0, piv)
     em = np.zeros_like(e0)
     em[-n:, :] = np.eye(n)
-    y = scipy.linalg.lu_solve((lu, piv), em, trans=1)
+    y, _ = lapack.zgbtrs(lu, kl, ku, em, piv, trans=1)
     uplus_inv = {j: x[j * n:(j + 1) * n, :] for j in range(m + 1)}
     vplus_inv = {j: y[(m - j) * n:(m - j + 1) * n, :].T for j in range(m + 1)}
     return (_series_tail_trim(LaurentMatrixSeries(n, uplus_inv)),
@@ -218,10 +279,13 @@ def _block_wh_once(a, m):
 def block_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
     """Finite-section canonical factorization of a matrix symbol.
 
-    One LU of T_m(a) gives both factorizations: the solve T_m(a) X = E_0
-    yields u_plus^-1, and the transposed solve on the same LU yields
-    v_plus^-1 (see _first_column_solve).  Then u_plus = (u_plus^-1)^-1,
-    u_minus = a u_plus^-1, v_minus = v_plus^-1 a and v_plus = a v_minus^-1.
+    One band LU of T_m(a) gives both factorizations: the solve
+    T_m(a) X = E_0 yields u_plus^-1, and the transposed solve on the same
+    LU yields v_plus^-1 (see _first_column_solve).  Then
+    u_plus = (u_plus^-1)^-1, u_minus = a u_plus^-1, v_minus = v_plus^-1 a
+    and v_plus = a v_minus^-1.  With kl and ku the sub- and
+    superdiagonals of the section (_band_section), a pass costs
+    O(m N kl (kl + ku)) time and (2 kl + ku + 1)(m + 1) N band entries.
     If the product residuals or the one-sided leakage exceed ``tol``, the
     section is doubled once; persistent failure raises NonCanonical (the
     symptom of nonzero partial indices).  A section whose condition

@@ -8,6 +8,8 @@ table[j + k] (_block_hankel).
 
 Dense storage only: the O(n^3) routines here are the ground truth the
 asymptotic formulas are checked against, so no fast solvers are used.
+(The finite-section factorization in factor is prediction, not oracle:
+it factors its sections in band storage.)
 A section whose coefficients satisfy a_{-k} == a_k^H entry for entry for
 every k (absent blocks counting as zero) is exactly Hermitian, and its
 eigenvalues come from LAPACK's Hermitian solver (eigvalsh), still a dense

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import toepasym as tp
+from toepasym import symbol
 from toepasym.asymptotics import _correction_trace_series
 from conftest import random_block_symbol
 
@@ -275,3 +276,17 @@ def test_log_stage_raises_at_the_cap(fn):
     # still holds 9e-3 on 2^17 nodes
     with pytest.raises(tp.NoConvergence, match=r"^_log_det: .* at the cap resolution 131072"):
         fn(tp.scalar_symbol({0: 1.0, 1: -0.9999}))
+
+
+def test_scalar_expansion_runs_the_log_stage_once(monkeypatch):
+    # log G and the scalar Wiener-Hopf split read the same branch-log stage
+    stages = []
+    refine = symbol._refine
+
+    def recorded(step, *args):
+        stages.append(step.__qualname__.split(".")[0])
+        return refine(step, *args)
+
+    monkeypatch.setattr(symbol, "_refine", recorded)
+    tp.logdet_expansion_scan(tp.zygmund_symbol(0.75, 6), [8, 16], p=2)
+    assert stages.count("_log_det") == 1
