@@ -14,7 +14,8 @@ import toepasym as tp
 a = tp.scalar_symbol({0: 1.25, 1: -0.5, -1: -0.5})
 
 spectrum = tp.estimate_spectrum(a)
-print(f"spectrum estimate: {len(spectrum.points)} points in "
+print(f"spectral enclosure: disk about {spectrum.centroid.real:.3f} of radius "
+      f"{spectrum.max_radius:.3f}; the symbol's {len(spectrum.points)} grid values lie in "
       f"[{spectrum.bbox[0]:.3f}, {spectrum.bbox[1]:.3f}] x "
       f"[{spectrum.bbox[2]:.1e}, {spectrum.bbox[3]:.1e}]i")
 contour = tp.build_contour(spectrum, margin=0.5)

@@ -101,7 +101,8 @@ class FitDegenerate(ToepasymError):
 
 
 class ContourTooTight(ToepasymError):
-    """Contour clearance check failed or the spectrum estimate is disconnected."""
+    """Reserved: no longer raised, since every contour is a circle about a
+    proved spectral enclosure (traces.estimate_spectrum)."""
 
     exit_code = 16
 

@@ -74,16 +74,17 @@ def _one_sided(series, side):
 
 def _series_tail_trim(series, tol=1e-14):
     """Drop outermost coefficients whose cumulative mass stays below tol."""
-    items = sorted(series.coeffs.items(), key=lambda kv: abs(kv[0]))
-    mass = _block_maxima([blk for _, blk in items], series.block_size)
-    total = 0.0
-    cut = len(items)
-    for i in range(len(items) - 1, -1, -1):
-        total += mass[i]
-        if total > tol:
-            break
-        cut = i
-    return LaurentMatrixSeries(series.block_size, dict(items[:cut]))
+    offsets = sorted(series.coeffs, key=abs)
+    return _tail_trim(offsets, [series.coeffs[k] for k in offsets], series.block_size, tol)
+
+
+def _tail_trim(offsets, blocks, n, tol=1e-14):
+    """The series of blocks[i] at offsets[i] (in order of |offset|) less the
+    outermost blocks whose masses, added one at a time from the outermost,
+    stay at most tol."""
+    tail = np.cumsum(np.max(np.abs(np.reshape(blocks, (-1, n * n))), axis=1)[::-1])
+    cut = int(np.count_nonzero(tail > tol))
+    return LaurentMatrixSeries(n, dict(zip(offsets[:cut], blocks[:cut])))
 
 
 def _common_grid(parts):
@@ -248,10 +249,9 @@ def _first_column_solve(a, m):
     em = np.zeros_like(e0)
     em[-n:, :] = np.eye(n)
     y, _ = lapack.zgbtrs(lu, kl, ku, em, piv, trans=1)
-    uplus_inv = {j: x[j * n:(j + 1) * n, :] for j in range(m + 1)}
-    vplus_inv = {j: y[(m - j) * n:(m - j + 1) * n, :].T for j in range(m + 1)}
-    return (_series_tail_trim(LaurentMatrixSeries(n, uplus_inv)),
-            _series_tail_trim(LaurentMatrixSeries(n, vplus_inv)))
+    # block j of u_plus^-1 is rows j n.. of x, of v_plus^-1 rows (m - j) n.. of y, transposed
+    return (_tail_trim(range(m + 1), x.reshape(m + 1, n, n), n),
+            _tail_trim(range(m + 1), y.reshape(m + 1, n, n)[::-1].transpose(0, 2, 1), n))
 
 
 def _side(series, side):

@@ -2,7 +2,9 @@
 
 Each entry declares its analyticity domain so precondition checks are
 mechanical: ``check`` raises FNotAnalyticAtSample when a point falls
-outside the declared domain (with a small safety margin).
+outside the declared domain (with a small safety margin), and
+``check_disk`` when a closed disk, the inside of a contour, meets a
+singularity.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ class AnalyticFunction:
     name: str
     fn: Callable
     domain: Callable | None = None  # boolean mask, True where analytic
+    disk: Callable | None = None  # (center, radius) -> True if analytic on the closed disk
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=complex))
@@ -32,6 +35,11 @@ class AnalyticFunction:
             bad = pts[~ok][0]
             raise FNotAnalyticAtSample(
                 f"{self.name} is not analytic near z={bad:.6g} ({where})")
+
+    def check_disk(self, center, radius):
+        if self.disk is not None and not self.disk(complex(center), float(radius)):
+            raise FNotAnalyticAtSample(
+                f"{self.name} is not analytic on the disk |z - ({center:.6g})| <= {radius:.6g}")
 
 
 def polynomial(coefficients, name=None):
@@ -50,7 +58,11 @@ def principal_log():
     # analytic more than 1e-8 off the branch cut (-inf, 0]
     def domain(z):
         return (z.real > 1e-8) | (np.abs(z.imag) > 1e-8)
-    return AnalyticFunction("log", np.log, domain=domain)
+
+    def disk(center, radius):
+        # distance from the center to the cut
+        return (abs(center) if center.real > 0 else abs(center.imag)) > radius
+    return AnalyticFunction("log", np.log, domain=domain, disk=disk)
 
 
 def rational(numerator, denominator):
@@ -68,9 +80,12 @@ def rational(numerator, denominator):
         d = np.abs(z[..., None] - poles[None, :]).min(axis=-1)
         return d > 1e-6  # a margin around each pole
 
+    def disk(center, radius):
+        return bool(np.all(np.abs(poles - center) > radius + 1e-6))
+
     name = ("rational:" + ",".join(f"{c.real:g}" for c in num)
             + "/" + ",".join(f"{c.real:g}" for c in den))
-    return AnalyticFunction(name, fn, domain=domain)
+    return AnalyticFunction(name, fn, domain=domain, disk=disk)
 
 
 SQUARE = polynomial((0.0, 0.0, 1.0), name="square")

@@ -319,19 +319,6 @@ def _sample_rows(offsets, table, m):
     return np.fft.ifft(carr, axis=1, norm="forward")
 
 
-def _sample_shifted(a, lams):
-    """Samples of a - lam I on a's grid for each lam, shape (R, M, N, N).
-
-    Row r is bit-identical to the samples of the series a - lams[r] I.
-    """
-    n = a.block_size
-    offsets = sorted(set(a.coeffs) | {0})
-    blocks = np.stack([a.block(k) for k in offsets])
-    table = np.repeat(blocks[None], len(lams), axis=0)
-    table[:, offsets.index(0)] = a.block(0) - lams[:, None, None] * np.eye(n)
-    return _sample_rows(offsets, table, a.grid_size)
-
-
 # blocks whose smallest singular value is at most this count as singular
 _SINGULAR_FLOOR = 1e-10
 

@@ -1,4 +1,4 @@
-"""Spectrum estimation, quadrature contours, and the trace functionals.
+"""Spectral enclosure disks, quadrature contours, and the trace functionals.
 
 The trace of f over the section satisfies
 
@@ -9,7 +9,8 @@ contour integral of f against the logarithmic derivative of the operator
 determinant det T(a-lambda) T((a-lambda)^-1).  That determinant is
 rewritten through the Hankel product identity as det(I - H(a) H(w~)) with
 w = (a-lambda)^-1, and the lambda derivative is taken analytically, which
-avoids branch tracking along the contour.
+avoids branch tracking along the contour, a circle about the proved
+enclosure of sp T(a) and sp T(a~) inside which f must be analytic.
 """
 from __future__ import annotations
 
@@ -18,17 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourTooTight, EigFailure, NoConvergence, SpectrumTooClose
+from .errors import EigFailure, NoConvergence, SpectrumTooClose
 from .fitting import fit_decay
-from .symbol import (_NOISE_FACTOR, _SINGULAR_FLOOR, _guarded_inverse, _refine,
-                     _row_chunks, _sample_shifted, _winding_rows, default_grid_size,
-                     reverse)
-from .toeplitz import _block_hankel, hankel_section, toeplitz_section, trace_f_direct
+from .symbol import (_NOISE_FACTOR, _SINGULAR_FLOOR, _guarded_inverse, _pow2_at_least,
+                     _refine, _row_chunks, default_grid_size)
+from .toeplitz import _block_hankel, hankel_section, trace_f_direct
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
-    """Heuristic point cloud covering sp T(a) together with sp T(a~)."""
+    """Disk about centroid of radius max_radius holding sp T(a) and sp T(a~),
+    and the symbol's pointwise eigenvalues with their bounding box; from_points
+    takes the points' mean and largest distance from it."""
 
     points: np.ndarray
     centroid: complex
@@ -65,110 +67,50 @@ class ContourSpec:
     radius: float
 
 
-#: section size of estimate_spectrum
-SPECTRUM_SECTION = 64
-
-
 def estimate_spectrum(a):
-    """Eigenvalues of the SPECTRUM_SECTION-th sections of both Toeplitz
-    operators plus the pointwise eigenvalues of the symbol.
-
-    For scalar symbols, points of a coarse 25 x 25 grid over the cloud's
-    bounding box with nonzero winding of a - lambda are added (interior of
-    the symbol curve belongs to the spectrum), together with the points
-    where the winding number of a - lambda is undefined (winding_number
-    would raise).  All grid points are decided in batched passes.
+    """Disk that holds the numerical ranges, so the spectra, of every T_n(a),
+    of T(a) and of T(a~): that of each a(theta) lies within ||a(theta) - c I||_2
+    of c, the midpoint of the bounding box of a's pointwise eigenvalues on its
+    own grid.  Outside the disk a - lambda is invertible with winding zero.
+    The radius is the maximum of that norm on M = max(a.grid_size, 32 K)
+    points (K the bandwidth, M a power of two) over cos(pi K / M), which bounds
+    the maximum over the circle (van der Corput-Schaake: the norm is a maximum
+    of real trigonometric polynomials of degree K).
     """
+    n, k = a.block_size, a.max_offset
     try:
-        ev_plus = np.linalg.eigvals(toeplitz_section(a, SPECTRUM_SECTION))
-        ev_minus = np.linalg.eigvals(toeplitz_section(reverse(a), SPECTRUM_SECTION))
         samples = a.sample().samples
-        ev_symbol = (samples[:, 0, 0] if a.block_size == 1
-                     else np.linalg.eigvals(samples).ravel())
+        points = samples[:, 0, 0] if n == 1 else np.linalg.eigvals(samples).ravel()
+        if not np.all(np.isfinite(points)):
+            raise EigFailure("non-finite eigenvalue in the spectrum estimate")
+        bbox = (float(points.real.min()), float(points.real.max()),
+                float(points.imag.min()), float(points.imag.max()))
+        centroid = complex(0.5 * (bbox[0] + bbox[1]), 0.5 * (bbox[2] + bbox[3]))
+        m = max(a.grid_size, _pow2_at_least(32 * k))
+        shifted = a.sample(m).samples - centroid * np.eye(n)
+        norms = (np.abs(shifted[:, 0, 0]) if n == 1
+                 else np.linalg.norm(shifted, 2, axis=(1, 2)))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    clouds = [ev_plus, ev_minus, ev_symbol]
-    if a.block_size == 1:
-        base = np.concatenate(clouds)
-        re = np.linspace(base.real.min(), base.real.max(), 25)
-        im = np.linspace(base.imag.min(), base.imag.max(), 25)
-        lams = (re[:, None] + 1j * im[None, :]).ravel()
-        marked = np.zeros(lams.size, dtype=bool)
-        for rows in _row_chunks(lams.size, a.grid_size):
-            w, fault, _ = _winding_rows(_sample_shifted(a, lams[rows])[:, :, 0, 0])
-            # a faulty row lies on or next to the symbol curve
-            marked[rows] = (w != 0) | (fault != 0)
-        if marked.any():
-            clouds.append(lams[marked])
-    return SpectrumEstimate.from_points(np.concatenate(clouds))
-
-
-def _connected(points, threshold):
-    """Single-linkage connectivity of the cloud at the given threshold.
-
-    Two points are linked when dx*dx + dy*dy, evaluated in floating point
-    as cKDTree evaluates it, is at most threshold*threshold: the rule of
-    cKDTree.query_pairs, without listing the pairs.  A search from point 0
-    asks one cKDTree for the points linked to one reached point at a time
-    and stops as soon as every point is reached.  Memory is linear in the
-    cloud.
-    """
-    from scipy.spatial import cKDTree
-
-    threshold = float(threshold)
-    if threshold * threshold == math.inf:
-        return True
-    xy = np.column_stack([points.real, points.imag])
-    # cKDTree squares distances across the bounding box, which overflow
-    # beyond about 1e154; a power-of-two scale changes no decision, since a
-    # connected cloud that wide has a threshold far above the underflow range
-    extent = float(np.max(np.ptp(0.5 * xy, axis=0)))
-    if extent > 2.0**500:
-        scale = 2.0 ** (500 - math.frexp(extent)[1])
-        xy, threshold = scale * xy, scale * threshold
-    tree = cKDTree(xy)
-    reached = np.zeros(len(xy), dtype=bool)
-    reached[0] = True
-    count, stack = 1, [0]
-    while count < len(xy):
-        if not stack:
-            return False
-        near = np.asarray(tree.query_ball_point(xy[stack.pop()], threshold), dtype=np.intp)
-        near = near[~reached[near]]
-        reached[near] = True
-        count += len(near)
-        stack.extend(near.tolist())
-    return True
+    return SpectrumEstimate(points=points, centroid=centroid,
+                            max_radius=float(norms.max()) / math.cos(math.pi * k / m),
+                            bbox=bbox)
 
 
 def build_contour(spectrum, margin, nodes=256):
-    """Circle around the spectrum estimate with trapezoid quadrature.
-
-    Centered at the cloud centroid with radius max distance + margin.
-    Disconnected clouds are rejected rather than handled with several
-    components: linking every two points at most 4 margin apart must
-    join the whole cloud (single linkage, decided by a search over one
-    cKDTree in memory linear in the cloud).  So is any construction whose
-    verified clearance falls below margin / 2.
-    """
+    """Circle of radius spectrum.max_radius + margin about spectrum.centroid,
+    with trapezoid quadrature; clearance is the least distance from a
+    spectrum point to the circle."""
     if not 0 < margin < math.inf:
         raise ValueError("margin must be positive and finite")
     if nodes < 64 or nodes & (nodes - 1):
         raise ValueError("node count must be a power of two >= 64")
-    pts = spectrum.points
-    if len(pts) > 1 and not _connected(pts, 4.0 * margin):
-        raise ContourTooTight(
-            "spectrum estimate splits into components separated by more "
-            "than four margins; single-circle contours are not supported")
     center = spectrum.centroid
     radius = spectrum.max_radius + margin
     phis = 2 * np.pi * np.arange(nodes) / nodes
     contour_nodes = center + radius * np.exp(1j * phis)
     weights = (2 * np.pi / nodes) * 1j * radius * np.exp(1j * phis)
-    clearance = float(np.min(np.abs(np.abs(pts - center) - radius)))
-    if clearance < margin / 2:
-        raise ContourTooTight(
-            f"clearance {clearance:.3e} below margin/2 = {margin / 2:.3e}")
+    clearance = float(np.min(np.abs(np.abs(spectrum.points - center) - radius)))
     return ContourSpec(nodes=contour_nodes, weights=weights,
                        clearance=clearance, center=center, radius=radius)
 
@@ -237,6 +179,7 @@ def trace_constant(a, f, contour):
         raise NoConvergence(f"trace_constant: bandwidth {band} exceeds the corner cap 2048")
     if hasattr(f, "check"):
         f.check(contour.nodes, where="contour nodes")
+        f.check_disk(contour.center, contour.radius)
     fvals = f(contour.nodes)
     used = slice(-(2 * band - 1), None)  # the FFT bins of offsets -(2W-1)..-1
 

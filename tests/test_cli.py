@@ -135,6 +135,22 @@ def test_widom_trace_exact_regime_exit_code(tmp_path, capsys):
     assert all(float(r.split(",")[-1]) < 1e-9 for r in rows[1:])
 
 
+def test_widom_trace_log_exits_when_the_disk_holds_the_branch_point(tmp_path, capsys):
+    sym = tmp_path / "s.json"
+    tp.save_symbol(tp.scalar_symbol({0: 1.5 + 0.5j, 1: 0.8, -1: 0.5}), sym)
+    args = ["widom-trace", "--symbol", str(sym), "--f", "log", "--n-grid",
+            "8:64:geometric", "--nodes", "256", "-o", str(tmp_path / "w.csv"),
+            "--fit-out", str(tmp_path / "wf.json")]
+    code, _, err = run_cli(capsys, *args, "--margin", "0.5")
+    assert code == tp.FNotAnalyticAtSample.exit_code == 17
+    assert err.startswith("FNotAnalyticAtSample: log is not analytic on the disk")
+    assert not (tmp_path / "w.csv").exists()
+    code, _, err = run_cli(capsys, *args, "--margin", "0.2")
+    assert code == 0, err
+    rows = (tmp_path / "w.csv").read_text().strip().splitlines()[1:]
+    assert all(float(r.split(",")[-1]) < 1e-6 for r in rows)
+
+
 def test_approx_scan_and_smoothness(tmp_path, capsys):
     sym = tmp_path / "z.json"
     run_cli(capsys, "gen-symbol", "--zygmund", "1.0", "--levels", "8",

@@ -173,7 +173,8 @@ def test_band_section_matches_dense_section(case):
         assert abs(norms[key] - ref) <= 1e-15 * ref
     # the solves against E_0 and, transposed, against E_m, untrimmed
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(factor, "_series_tail_trim", lambda series: series)
+        patch.setattr(factor, "_tail_trim", lambda offsets, blocks, n:
+                      tp.LaurentMatrixSeries(n, dict(zip(offsets, blocks))))
         uplus_inv, vplus_inv = factor._first_column_solve(a, m)
     e0, em = np.zeros((dim, n)), np.zeros((dim, n))
     e0[:n], em[-n:] = np.eye(n), np.eye(n)
@@ -323,6 +324,52 @@ def test_factorization_passes_take_no_svd(monkeypatch, rational_symbol, two_bloc
     assert len(tp.factorization_sweep(two_block_symbol, contour, section=32).factors) == 8
 
 
+def _same(x, y):
+    assert list(x.coeffs) == list(y.coeffs)
+    for k in x.coeffs:
+        np.testing.assert_array_equal(x.coeffs[k], y.coeffs[k])
+
+
+def _trim_by_loop(series, tol=1e-14):
+    """Reference tail trim: the blocks in order of |offset|, the outermost
+    dropped while their masses, added one at a time, stay at most tol."""
+    ordered = sorted(series.coeffs.items(), key=lambda kv: abs(kv[0]))
+    total, cut = 0.0, len(ordered)
+    for i in range(len(ordered) - 1, -1, -1):
+        total += float(np.max(np.abs(ordered[i][1])))
+        if total > tol:
+            break
+        cut = i
+    return tp.LaurentMatrixSeries(series.block_size, dict(ordered[:cut]))
+
+
+@pytest.mark.parametrize("name", ["two_block", "rational", "block3", "zygmund"])
+def test_first_column_trim_matches_dict_route(name, two_block_symbol, rational_symbol):
+    """The tails are trimmed on the stacked solve columns; the result is
+    each column made a series, then trimmed, compared with ==."""
+    from conftest import random_block_symbol
+    a = {"two_block": two_block_symbol, "rational": rational_symbol,
+         "block3": tp.add_constant(random_block_symbol(np.random.default_rng(2), 3, 2), 12.0),
+         "zygmund": tp.zygmund_symbol(0.75, 4, seed=1)}[name]
+    trim = factor._tail_trim
+    dropped = 0
+    for m in (64, 256):
+        columns = []
+
+        def spy(offsets, blocks, n):
+            columns.append(tp.LaurentMatrixSeries(n, dict(zip(offsets, blocks))))
+            return trim(offsets, blocks, n)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factor, "_tail_trim", spy)
+            got = factor._first_column_solve(a, m)
+        assert len(columns) == 2
+        for column, series in zip(columns, got):
+            _same(series, _trim_by_loop(column))
+            dropped += len(column.coeffs) - len(series.coeffs)
+    assert dropped > 0
+
+
 def _reduction_series():
     """Scalar, 2x2 and 3x3 series, one with 61 blocks spanning 15 decades
     (where pairwise or compensated summation changes the last bits), one
@@ -349,11 +396,6 @@ def test_stacked_block_reductions_match_per_block_loops(series):
     from toepasym.factor import _one_sided, _series_tail_trim
     from toepasym.toeplitz import _tail_mass
 
-    def same(x, y):
-        assert list(x.coeffs) == list(y.coeffs)
-        for k in x.coeffs:
-            np.testing.assert_array_equal(x.coeffs[k], y.coeffs[k])
-
     items = list(series.coeffs.items())
     for side in ("minus", "plus"):
         kept, leak = {}, 0.0
@@ -364,23 +406,15 @@ def test_stacked_block_reductions_match_per_block_loops(series):
                 kept[k] = blk
         cleaned, got = _one_sided(series, side)
         assert got == leak
-        same(cleaned, tp.LaurentMatrixSeries(series.block_size, kept))
+        _same(cleaned, tp.LaurentMatrixSeries(series.block_size, kept))
         for beyond in (-1, 0, 2, 7):
             total = 0.0
             for k, blk in items:
                 if (k if side == "plus" else -k) > beyond:
                     total += float(np.max(np.abs(blk)))
             assert _tail_mass(series, side, beyond) == total
-    ordered = sorted(items, key=lambda kv: abs(kv[0]))
     for tol in (1e-14, 1e-6, 0.3, 1e3):
-        total, cut = 0.0, len(ordered)
-        for i in range(len(ordered) - 1, -1, -1):
-            total += float(np.max(np.abs(ordered[i][1])))
-            if total > tol:
-                break
-            cut = i
-        same(_series_tail_trim(series, tol),
-             tp.LaurentMatrixSeries(series.block_size, dict(ordered[:cut])))
+        _same(_series_tail_trim(series, tol), _trim_by_loop(series, tol))
     grid = series.sample()
     m = grid.grid_size
     hat = np.fft.fft(grid.samples, axis=0) / m
@@ -389,4 +423,4 @@ def test_stacked_block_reductions_match_per_block_loops(series):
         kept = {k: hat[k % m] for k in range(-cutoff, cutoff + 1)
                 if np.max(np.abs(hat[k % m])) > tol}
         got, _ = tp.coefficients_from_samples(grid, cutoff)
-        same(got, tp.LaurentMatrixSeries(series.block_size, kept))
+        _same(got, tp.LaurentMatrixSeries(series.block_size, kept))

@@ -1,5 +1,4 @@
 import math
-import struct
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.symbol import _BATCH_SAMPLES, default_grid_size
-from toepasym.traces import SPECTRUM_SECTION
 from conftest import assemble
 
 
@@ -51,47 +49,61 @@ def test_estimate_spectrum_fixture(rational_symbol):
     assert abs(s.bbox[2]) < 1e-8 and abs(s.bbox[3]) < 1e-8
 
 
-def test_estimate_spectrum_winding_interior():
-    # a(t) = t: the spectrum is the closed unit disk
-    s = tp.estimate_spectrum(tp.scalar_symbol({1: 1.0}))
-    assert np.min(np.abs(s.points)) < 0.2  # interior points marked
+@st.composite
+def _enclosure_cases(draw):
+    """A random complex scalar or 2x2 symbol (offsets -3..3) and a section size."""
+    n = draw(st.sampled_from([1, 2]))
+    parts = st.floats(-2.0, 2.0, allow_nan=False)
+    coeffs = {}
+    for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=7, unique=True)):
+        re = draw(st.lists(parts, min_size=n * n, max_size=n * n))
+        im = draw(st.lists(parts, min_size=n * n, max_size=n * n))
+        coeffs[k] = (np.array(re) + 1j * np.array(im)).reshape(n, n)
+    return tp.LaurentMatrixSeries(n, coeffs), draw(st.sampled_from([0, 1, 5, 16]))
 
 
-def _per_point_interior(a, base):
-    """Reference: the grid points winding_number marks one at a time
-    (nonzero winding, or a raise on or next to the symbol curve)."""
-    re = np.linspace(base.real.min(), base.real.max(), 25)
-    im = np.linspace(base.imag.min(), base.imag.max(), 25)
-    marked = []
-    for lam in (re[:, None] + 1j * im[None, :]).ravel():
-        coeffs = dict(a.coeffs)
-        coeffs[0] = a.block(0) - lam * np.eye(1)
-        try:
-            if tp.winding_number(tp.LaurentMatrixSeries(1, coeffs, a.grid_size)) != 0:
-                marked.append(lam)
-        except (tp.SingularSymbol, tp.GridTooCoarse):
-            marked.append(lam)
-    return np.asarray(marked, dtype=complex)
+_JORDAN = tp.LaurentMatrixSeries(2, {0: np.array([[0.0, 5.0], [0.0, 0.0]]),
+                                     1: np.array([[0.0, 0.0], [1.0, 0.0]]),
+                                     -2: np.array([[0.3j, 0.0], [0.0, 0.0]])})
 
 
-@pytest.mark.parametrize("name", ["zygmund", "t+0.3", "t^2+0.5/t", "random",
-                                  "rational", "several_batches"])
-def test_estimate_spectrum_interior_matches_winding_number(name, rational_symbol):
-    rng = np.random.default_rng(11)
-    a = {"zygmund": tp.zygmund_symbol(0.75, 5, seed=2),
-         "t+0.3": tp.scalar_symbol({1: 1.0, 0: 0.3}),
-         "t^2+0.5/t": tp.scalar_symbol({2: 1.0, -1: 0.5}),
-         "random": tp.scalar_symbol({k: rng.standard_normal() + 1j * rng.standard_normal()
-                                     for k in range(-3, 4)}),
-         "rational": rational_symbol,
-         "several_batches": tp.zygmund_symbol(0.5, 9, seed=7)}[name]
-    if name == "several_batches":
-        assert _BATCH_SAMPLES // a.grid_size < 625 // 4  # the 25 x 25 grid
+@given(_enclosure_cases())
+@example((_JORDAN, 16))  # far from normal
+@example((tp.scalar_symbol({1: 1.0, -1: 0.1}), 16))  # pseudospectra of a non-normal section
+def test_estimate_spectrum_encloses_section_spectra(case):
+    a, n = case
     s = tp.estimate_spectrum(a)
-    n_base = 2 * (SPECTRUM_SECTION + 1) + a.grid_size  # both sections' eigenvalues, the samples
-    expected = _per_point_interior(a, s.points[:n_base])
-    assert len(expected) > 0
-    np.testing.assert_array_equal(s.points[n_base:], expected)
+    # a computed eigenvalue is exact for a section perturbed by a few eps of
+    # its norm, whose numerical range lies that much outside the disk
+    slack = 1e-12 * (s.max_radius + abs(s.centroid))
+    for sym in (a, tp.reverse(a)):
+        ev = np.linalg.eigvals(tp.toeplitz_section(sym, n))
+        assert np.all(np.abs(ev - s.centroid) <= s.max_radius + slack)
+    fine = a.sample(64 * a.grid_size).samples - s.centroid * np.eye(a.block_size)
+    assert np.linalg.norm(fine, 2, axis=(1, 2)).max() <= s.max_radius + slack
+
+
+def test_estimate_spectrum_bounds_the_maximum_between_grid_points():
+    # 2 cos(theta - pi/256) peaks at 2 midway between two points of its
+    # 256-point grid, where it reads 2 cos(pi/256); the grid maximum alone
+    # falls short by 7.5e-5
+    a = tp.scalar_symbol({1: np.exp(-1j * np.pi / 256), -1: np.exp(1j * np.pi / 256)})
+    assert a.grid_size == 256
+    s = tp.estimate_spectrum(a)
+    assert abs(s.centroid) < 1e-15
+    assert s.max_radius >= 2.0 * (1 - 1e-15)
+    assert s.max_radius <= 2.0 * (1 + 1e-15)
+
+
+def test_split_spectrum_gets_one_circle():
+    # the symbol's eigenvalues cluster near 1 and near 10, nine apart
+    rng = np.random.default_rng(4)
+    blk = 0.05 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    a = tp.LaurentMatrixSeries(2, {0: np.diag([1.0, 10.0]), 1: blk, -1: blk.conj().T})
+    contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=512)
+    assert contour.radius > 4.5
+    exact = -sum(abs(m) * np.trace(a.block(m) @ a.block(-m)) for m in (-1, 1))
+    assert abs(tp.trace_constant(a, tp.SQUARE, contour) - exact) <= 1e-10
 
 
 def test_build_contour_singleton():
@@ -118,155 +130,42 @@ def test_build_contour_validation():
         tp.build_contour(s, 1.0, nodes=48)
 
 
-def test_build_contour_disconnected_rejected():
-    s = tp.SpectrumEstimate.from_points([0.0, 0.1, 10.0, 10.1])
-    with pytest.raises(tp.ContourTooTight):
-        tp.build_contour(s, 0.5)
+def test_disk_checks():
+    log = tp.principal_log()
+    log.check_disk(3.0, 2.9)
+    log.check_disk(-1.0 + 2.0j, 1.9)  # two from the cut, one from 0
+    for center, radius in ((3.0, 3.0), (-1.0 + 2.0j, 2.0), (1.0 - 1e-3j, 1.5)):
+        with pytest.raises(tp.FNotAnalyticAtSample, match="not analytic on the disk"):
+            log.check_disk(center, radius)
+    inv = tp.rational([1.0], [1.0, 1.0])  # 1 / (1 + z), pole at -1
+    inv.check_disk(0.0, 1.0 - 2e-6)
+    with pytest.raises(tp.FNotAnalyticAtSample):
+        inv.check_disk(0.0, 1.0 - 1e-7)  # within the pole margin
+    for f in (tp.SQUARE, tp.exponential()):
+        f.check_disk(0.0, 1e300)
 
 
-def _all_pairs_connected(points, threshold):
-    """Reference: the graph of every pair within the threshold
-    (cKDTree.query_pairs) and its connected components."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
-
-    n = len(points)
-    if n == 1:
-        return True
-    xy = np.column_stack([points.real, points.imag])
-    pairs = cKDTree(xy).query_pairs(threshold, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
-                       shape=(n, n))
-    return connected_components(graph, directed=False)[0] == 1
-
-
-def _float_from_bits(bits):
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+def test_trace_constant_rejects_a_disk_around_the_branch_point():
+    # the disk about this non-normal symbol's range reaches 0 at margin
+    # 0.5 and misses it at 0.2, where every node alone is a valid point
+    a = tp.scalar_symbol({0: 1.5 + 0.5j, 1: 0.8, -1: 0.5})
+    log = tp.principal_log()
+    spectrum = tp.estimate_spectrum(a)
+    wide = tp.build_contour(spectrum, 0.5)
+    log.check(wide.nodes)
+    with pytest.raises(tp.FNotAnalyticAtSample, match="log is not analytic on the disk"):
+        tp.trace_constant(a, log, wide)
+    ef = tp.trace_constant(a, log, tp.build_contour(spectrum, 0.2))
+    gf = tp.trace_mean(a, log)
+    for n in (16, 64):
+        assert abs(tp.trace_f_direct(a, n, log) - ((n + 1) * gf + ef)) < 1e-7
 
 
-def _largest_float(holds):
-    """Largest finite float t >= 0 with holds(t), for a test that holds
-    at 0 and fails beyond some point: bisection over the bit patterns,
-    which the non-negative floats share in order."""
-    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(_float_from_bits(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return _float_from_bits(lo)
-
-
-_THRESHOLDS = [1e-300, 1e-160, 1e-9, 0.37, 1.0, 2.0, 3e5]
-
-
-@st.composite
-def _clouds(draw):
-    """Clouds on lattices of fractions of the threshold (exact threshold
-    distances, cell boundaries), or drawn within a few thresholds, with
-    duplicates, a far-off centre, and imaginary parts at rounding level."""
-    threshold = draw(st.sampled_from(_THRESHOLDS))
-    n = draw(st.integers(1, 30))
-    r2 = threshold * threshold
-    side = _largest_float(lambda t: 3.0 * (t * t) <= r2)
-    reach = _largest_float(lambda t: t * t <= r2)
-    if draw(st.booleans()):
-        step = draw(st.sampled_from([threshold, threshold / 2, side, 2 * side, reach,
-                                     math.nextafter(threshold, math.inf)]))
-        ij = np.array(draw(st.lists(st.integers(-4, 4), min_size=2 * n, max_size=2 * n)))
-        x, y = step * ij[:n], step * ij[n:]
-    else:
-        box = threshold * draw(st.sampled_from([0.5, 2.0, 6.0]))
-        coords = st.floats(-box, box, allow_nan=False)
-        x = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
-        y = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        y = 1e-16 * np.array(draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n)))
-    points = draw(st.sampled_from([0.0, 1.0, -3.7, 1e6 + 2.5j])) + x + 1j * y
-    repeats = draw(st.lists(st.integers(0, n - 1), max_size=5))
-    return np.concatenate([points, points[repeats]]), threshold
-
-
-def _clusters_apart(gap):
-    cluster = np.array([0.0, 0.1, 0.05j, 0.1 + 0.05j])
-    return np.concatenate([cluster, cluster + 0.1 + gap])
-
-
-def _chain(gap):
-    """3000 points on the real line, spaced 1 - 2^-30 (exact multiples),
-    with the middle link `gap` long, ordered from the left end."""
-    step = 1.0 - 2.0**-30
-    return np.concatenate([-step * np.arange(1499, -1, -1), gap + step * np.arange(1500)])
-
-
-@given(_clouds())
-@example((np.array([0.25]), 1.0))  # a single point
-@example((np.array([0.0, 0.0, 0.0]), 1e-300))  # duplicates
-@example((np.array([0.0, 1.0, 2.0, 2.0 + 1j]), 1.0))  # exactly a threshold apart
-@example((_clusters_apart(1.0), 1.0))
-@example((_clusters_apart(math.nextafter(1.0, 2.0)), 1.0))  # just over a threshold
-@example((np.linspace(0.0, 1.0, 9) + 1e-16j * np.sin(np.arange(9)), 0.125))
-@example((np.linspace(0.0, 1.0, 9) + 1e-16j * np.sin(np.arange(9)), 0.12))
-@example((np.array([0.0, 1e-200, 1.0]), 1e-300))  # unit span
-@example((np.array([0.0, 1e-200, 2e-200]), 1e-300))  # squares below the float range
-@example((1e-162 * np.arange(6), 1e-300))  # ... over several cells
-@example((np.array([1e150, math.nextafter(1e150, math.inf)]), 1e-300))  # x / side overflows
-@example((np.array([0.0, 0.8 + 0.8j]), 1.0))  # one cell of side 0.8 would hold both
-@example((_chain(1.0 - 2.0**-30), 1.0))  # a search over thousands of steps
-@example((_chain(math.nextafter(1.0, 2.0)), 1.0))  # ... cut one ulp over the threshold
-def test_connected_matches_all_pairs(cloud):
-    from toepasym.traces import _connected
-
-    points, threshold = cloud
-    assert _connected(points, threshold) == _all_pairs_connected(points, threshold)
-
-
-@pytest.mark.parametrize("name", ["fixture", "rational", "zygmund", "zygmund9"])
-def test_connected_matches_all_pairs_on_spectra(name, rational_symbol, two_block_symbol):
-    from toepasym.traces import _connected
-
-    a = {"fixture": two_block_symbol, "rational": rational_symbol,
-         "zygmund": tp.zygmund_symbol(0.75, 5, seed=2),
-         "zygmund9": tp.zygmund_symbol(0.75, 9)}[name]
-    points = tp.estimate_spectrum(a).points
-    # 4851 points, almost none linked at 1e-3; the larger thresholds
-    # would list millions of pairs in the reference
-    thresholds = (1e-3,) if name == "zygmund9" else (2.0, 0.5, 0.05, 0.01, 1e-3)
-    for threshold in thresholds:
-        assert _connected(points, threshold) == _all_pairs_connected(points, threshold)
-
-
-def test_connected_beyond_squared_float_range():
-    from toepasym.traces import _connected
-
-    # the threshold squared overflows: every pair is linked
-    assert _connected(np.array([0.0, 3.0, 1e200j, 1e300]), 1e200)
-    # the bounding box squared overflows while the threshold squared does not
-    t = 2.0**510
-    chain = t * np.arange(9.0)
-    assert _connected(chain + 0j, t)
-    assert not _connected(np.where(chain >= 5 * t, chain + t * 2.0**-40, chain) + 0j, t)
-    assert _connected(np.array([0.0, 1e154, 2e154]), 1.1e154)
-    assert not _connected(np.array([0.0, 1e154, 2e154]), 0.9e154)
-    assert not _connected(np.array([-1e308, 0.0, 1e308]), 1e154)
-
-
-def test_connected_memory_linear():
-    # 2000 points within one threshold: about 2M linked pairs, 30 MB as a list
-    from toepasym.traces import _connected
-
-    rng = np.random.default_rng(5)
-    points = 0.5 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
-    assert _connected(points[:10], 1.0)  # imports outside the traced call
-    tracemalloc.start()
-    try:
-        assert _connected(points, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+def test_trace_constant_rejects_a_pole_in_the_disk(rational_symbol, fixture_contour):
+    _, contour = fixture_contour  # center 1.25, radius about 1.5
+    with pytest.raises(tp.FNotAnalyticAtSample):
+        tp.trace_constant(rational_symbol, tp.rational([1.0], [0.0, 1.0]), contour)
+    assert abs(tp.trace_constant(rational_symbol, tp.rational([1.0], [3.0, 1.0]), contour)) > 0
 
 
 def test_trace_mean(rational_symbol):
