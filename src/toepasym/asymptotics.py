@@ -25,8 +25,8 @@ import numpy as np
 from .errors import NoConvergence
 from .factor import _split_log, canonical_wiener_hopf, correction_symbols
 from .fitting import fit_decay
-from .symbol import _log_det, certified_inverse, reverse
-from .toeplitz import _block_hankel, _offset_table, hankel_section, log_det_scan
+from .symbol import _log_det, _offset_table, certified_inverse, reverse
+from .toeplitz import _block_hankel, hankel_section, log_det_scan
 
 
 def log_geometric_mean(a):

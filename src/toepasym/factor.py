@@ -26,11 +26,10 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IllConditionedSection, NonCanonical, SpectrumTooClose
-from .symbol import (LaurentMatrixSeries, SymbolGrid, _block_maxima, _log_det,
-                     _smallest_singular_values, _sum_in_order, _tail_cutoff,
-                     add_constant, certified_inverse, coefficients_from_samples,
+from .symbol import (LaurentMatrixSeries, _block_maxima, _log_det, _offset_table,
+                     _series_from_bins, _smallest_singular_values, _stacked,
+                     _sum_in_order, _tail_cutoff, add_constant, certified_inverse,
                      multiply)
-from .toeplitz import _offset_table
 
 DEFAULT_TOL = 1e-8
 
@@ -60,22 +59,20 @@ class WHFactors:
 
 
 def _one_sided(series, side):
-    """Zero the wrong-side offsets; return (cleaned, removed mass)."""
-    kept, removed = {}, []
-    for k, blk in series.coeffs.items():
-        wrong = k > 0 if side == "minus" else k < 0
-        if wrong:
-            removed.append(blk)
-        else:
-            kept[k] = blk
-    leak = _sum_in_order(_block_maxima(removed, series.block_size))
-    return LaurentMatrixSeries(series.block_size, kept), leak
+    """Zero the wrong-side offsets; return (cleaned, removed mass), the
+    mass added block by block in the series' order."""
+    n = series.block_size
+    offsets, blocks = _stacked(series)
+    wrong = offsets > 0 if side == "minus" else offsets < 0
+    leak = _sum_in_order(_block_maxima(blocks[wrong], n))
+    return LaurentMatrixSeries(n, dict(zip(offsets[~wrong].tolist(), blocks[~wrong]))), leak
 
 
 def _series_tail_trim(series, tol=1e-14):
     """Drop outermost coefficients whose cumulative mass stays below tol."""
-    offsets = sorted(series.coeffs, key=abs)
-    return _tail_trim(offsets, [series.coeffs[k] for k in offsets], series.block_size, tol)
+    offsets, blocks = _stacked(series)
+    order = np.argsort(np.abs(offsets), kind="stable")
+    return _tail_trim(offsets[order].tolist(), blocks[order], series.block_size, tol)
 
 
 def _tail_trim(offsets, blocks, n, tol=1e-14):
@@ -132,21 +129,15 @@ def _split_log(a, ghat):
     """scalar_wiener_hopf's factors from ghat, the FFT of log a that
     symbol._log_det returns for the scalar symbol a."""
     m = len(ghat)
-    idx = np.arange(m)
-    plus_mask = (idx <= m // 2)  # bins 0..m/2 hold offsets 0..m/2
-    gp = np.fft.ifft(np.where(plus_mask, ghat, 0.0), norm="forward")
-    gm = np.fft.ifft(np.where(~plus_mask, ghat, 0.0), norm="forward")
-    up_samples = np.exp(gp)
-    um_samples = np.exp(gm)
-    mass = np.maximum(np.abs(np.fft.fft(up_samples, norm="forward")),
-                      np.abs(np.fft.fft(um_samples, norm="forward")))
-    cutoff = min(max(_tail_cutoff(mass, 1e-13)[0], 8), m // 2 - 1)
-    grid_p = SymbolGrid(1, up_samples[:, None, None])
-    grid_m = SymbolGrid(1, um_samples[:, None, None])
-    up_raw, _ = coefficients_from_samples(grid_p, cutoff)
-    um_raw, _ = coefficients_from_samples(grid_m, cutoff)
-    u_plus, leak_p = _one_sided(up_raw, "plus")
-    u_minus, leak_m = _one_sided(um_raw, "minus")
+    plus_mask = np.arange(m) <= m // 2  # bins 0..m/2 hold offsets 0..m/2
+    # samples of exp(g_plus) and exp(g_minus), and their FFTs
+    samples = [np.exp(np.fft.ifft(np.where(mask, ghat, 0.0), norm="forward"))
+               for mask in (plus_mask, ~plus_mask)]
+    hats = [np.fft.fft(s, norm="forward") for s in samples]
+    cutoff = min(max(_tail_cutoff(np.maximum(*np.abs(hats)), 1e-13)[0], 8), m // 2 - 1)
+    (u_plus, leak_p), (u_minus, leak_m) = [
+        _one_sided(_series_from_bins(s, hat[:, None, None], cutoff), side)
+        for s, hat, side in zip(samples, hats, ("plus", "minus"))]
     leakage = max(leak_p, leak_m)
     residual = _product_residual(u_minus, u_plus, a)
     diag = FactorDiagnostics(product_residual_right=residual,

@@ -4,6 +4,8 @@ A symbol is a finitely supported map from integer offsets to N x N complex
 blocks.  Coefficients are the source of truth; uniform sample grids are
 derived caches used for transforms and quadrature.  All values are
 immutable after construction and every operation is a pure function.
+Products convolve two offset tables (_offset_table) by one FFT, so they
+carry FFT rounding rather than being exact sums of block products.
 """
 from __future__ import annotations
 
@@ -126,9 +128,8 @@ class LaurentMatrixSeries:
         """Evaluate on the uniform grid t_j = exp(2 pi i j / M) via FFT."""
         m = self.grid_size if grid_size is None else int(grid_size)
         _check_grid(m, self.max_offset)
-        n = self.block_size
-        stacked = np.array(list(self.coeffs.values()), dtype=complex).reshape(-1, n, n)
-        return SymbolGrid(n, _sample_rows(list(self.coeffs), stacked[None], m)[0])
+        offsets, blocks = _stacked(self)
+        return SymbolGrid(self.block_size, _sample_rows(offsets, blocks[None], m)[0])
 
     def eval(self, theta):
         return evaluate(self, theta)
@@ -216,6 +217,14 @@ def zygmund_symbol(gamma, levels, seed=None):
 # ---------------------------------------------------------------------------
 # transforms and arithmetic
 
+def _stacked(a):
+    """a's stored offsets as an int array and its blocks as one (K, N, N)
+    array, both in storage order."""
+    n = a.block_size
+    return (np.fromiter(a.coeffs, int, len(a.coeffs)),
+            np.array(list(a.coeffs.values()), dtype=complex).reshape(-1, n, n))
+
+
 def _block_maxima(blocks, n):
     """Largest entry modulus of each n x n block, as one reduction over
     the stacked blocks; a list of floats."""
@@ -230,6 +239,17 @@ def _sum_in_order(values):
     return functools.reduce(operator.add, values, 0.0)
 
 
+def _series_from_bins(samples, hat, cutoff):
+    """The series of the FFT bins ``hat`` (norm "forward", shape (M, N, N))
+    at offsets -cutoff..cutoff, less the blocks whose largest entry is at
+    most _NOISE_FACTOR times the largest sample magnitude."""
+    offsets = np.arange(-cutoff, cutoff + 1)
+    rows = hat[offsets % len(hat)]
+    tol = _NOISE_FACTOR * float(np.max(np.abs(samples), initial=0.0))
+    keep = np.max(np.abs(rows.reshape(len(rows), -1)), axis=1) > tol
+    return LaurentMatrixSeries(hat.shape[-1], dict(zip(offsets[keep].tolist(), rows[keep])))
+
+
 def coefficients_from_samples(grid, cutoff):
     """Extract coefficients for |k| <= cutoff from grid samples.
 
@@ -242,17 +262,10 @@ def coefficients_from_samples(grid, cutoff):
     if 2 * cutoff + 2 > m:
         raise CutoffTooLarge(f"cutoff {cutoff} needs a grid larger than {m}")
     hat = np.fft.fft(grid.samples, axis=0, norm="forward")
-    scale = float(np.max(np.abs(grid.samples))) if grid.samples.size else 0.0
-    tol = _NOISE_FACTOR * scale
-    offsets = range(-cutoff, cutoff + 1)
-    masses = _block_maxima(hat[np.asarray(offsets) % m], grid.block_size)
-    coeffs = {k: hat[k % m] for k, mass in zip(offsets, masses) if mass > tol}
-    kept = {k % m for k in offsets}
     tail_mask = np.ones(m, dtype=bool)
-    tail_mask[sorted(kept)] = False
+    tail_mask[np.arange(-cutoff, cutoff + 1) % m] = False
     tail_energy = float(np.sqrt(np.sum(np.abs(hat[tail_mask]) ** 2)))
-    series = LaurentMatrixSeries(grid.block_size, coeffs)
-    return series, tail_energy
+    return _series_from_bins(grid.samples, hat, cutoff), tail_energy
 
 
 def evaluate(a, theta):
@@ -271,34 +284,41 @@ def reverse(a):
                                a.grid_size, a.smoothness_tag)
 
 
+def _offset_table(a, lo, hi):
+    """Blocks of a at offsets lo..hi as one (hi-lo+1, N, N) array."""
+    offsets, blocks = _stacked(a)
+    inside = (offsets >= lo) & (offsets <= hi)
+    table = np.zeros((hi - lo + 1,) + blocks.shape[1:], dtype=complex)
+    table[offsets[inside] - lo] = blocks[inside]
+    return table
+
+
 def multiply(a, b):
-    """Exact block convolution; support widens additively."""
+    """Block convolution a b by one FFT product of the offset tables.
+
+    Both tables (_offset_table, lowest to highest stored offset) are
+    zero-padded to a power of two m at least as long as the product; their
+    FFTs are multiplied block by block and transformed back.  The support,
+    the sumset of the stored offsets, comes exactly from an integer
+    convolution of the tables' 0/1 masks; keys ascend.  Blocks carry FFT
+    rounding of order eps log2(m) sum_k ||a_k|| sum_j ||b_j|| instead of
+    the exact sum: products that cancel exactly leave a block that small
+    (none if it is exactly zero), and -0.0 entries are not kept.
+    """
     if a.block_size != b.block_size:
         raise BlockSizeMismatch(
             f"block sizes differ: {a.block_size} vs {b.block_size}")
     if not a.coeffs or not b.coeffs:
         return LaurentMatrixSeries(a.block_size, {})
-    right = np.stack(list(b.coeffs.values()))
-    right_offsets = np.array(list(b.coeffs))
-    lo = min(a.coeffs) + right_offsets.min()
-    size = max(a.coeffs) + right_offsets.max() - lo + 1
-    table = np.empty((size,) + right.shape[1:], dtype=complex)
-    filled = np.zeros(size, dtype=bool)
-    order = []
-    # one row of products per left block; each output offset sums its
-    # products in left-block order, and its first product is assigned
-    # rather than added to zero, so that -0.0 entries survive
-    for k1, b1 in a.coeffs.items():
-        rows = right_offsets + (k1 - lo)
-        prods = b1 @ right
-        new = ~filled[rows]
-        table[rows[new]] = prods[new]
-        table[rows[~new]] += prods[~new]
-        filled[rows] = True
-        order.append(rows[new])
-    rows = np.concatenate(order)
+    lo_a, lo_b = min(a.coeffs), min(b.coeffs)
+    ta, tb = _offset_table(a, lo_a, max(a.coeffs)), _offset_table(b, lo_b, max(b.coeffs))
+    size = len(ta) + len(tb) - 1
+    m = _pow2_at_least(size)
+    prod = np.fft.ifft(np.fft.fft(ta, m, axis=0) @ np.fft.fft(tb, m, axis=0), axis=0)
+    masks = [np.any(t != 0, axis=(1, 2)).astype(int) for t in (ta, tb)]
+    rows = np.flatnonzero(np.convolve(*masks))
     return LaurentMatrixSeries(a.block_size,
-                               dict(zip((rows + lo).tolist(), table[rows])))
+                               dict(zip((rows + lo_a + lo_b).tolist(), prod[rows])))
 
 
 def _row_chunks(rows, row_size):
@@ -430,12 +450,10 @@ def certified_inverse(a, tol=1e-13):
                     f"smallest singular value {margins[worst]:.3e} at theta={theta:.6f}")
         hat = np.fft.fft(inv, axis=0, norm="forward")
         cutoff, alias_mass = _tail_cutoff(np.max(np.abs(hat), axis=(1, 2)), tol)
-        return (inv, cutoff), alias_mass
+        return (inv, hat, cutoff), alias_mass
 
-    inv, cutoff = _refine(step, max(a.grid_size, 512), 1 << 17, tol)
-    cutoff = min(max(cutoff, a.max_offset, 1), len(inv) // 2 - 1)
-    series, _ = coefficients_from_samples(SymbolGrid(a.block_size, inv), cutoff)
-    return series
+    inv, hat, cutoff = _refine(step, max(a.grid_size, 512), 1 << 17, tol)
+    return _series_from_bins(inv, hat, min(max(cutoff, a.max_offset, 1), len(inv) // 2 - 1))
 
 
 def _raise_singular(absv):

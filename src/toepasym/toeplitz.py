@@ -2,7 +2,7 @@
 matrices, and dense (oracle) determinant and trace computations.
 
 Every structured block matrix of the package is a window of an offset
-table (_offset_table): a Toeplitz section has block (j, k) at offset
+table (symbol._offset_table): a Toeplitz section has block (j, k) at offset
 j - k, and every Hankel, block row and block column has block (j, k) at
 table[j + k] (_block_hankel).
 
@@ -25,17 +25,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EigFailure, NumericallySingularSection, TruncationTooSmall
-from .symbol import _block_maxima, _sum_in_order
-
-
-def _offset_table(a, lo, hi):
-    """Blocks of a at offsets lo..hi as one (hi-lo+1, N, N) array."""
-    n = a.block_size
-    table = np.zeros((hi - lo + 1, n, n), dtype=complex)
-    for k, blk in a.coeffs.items():
-        if lo <= k <= hi:
-            table[k - lo] = blk
-    return table
+from .symbol import _block_maxima, _offset_table, _stacked, _sum_in_order
 
 
 def _window_matrix(windows):
@@ -220,9 +210,8 @@ def _is_hermitian(a):
     coeffs = a.coeffs
     if any(-k not in coeffs for k in coeffs):
         return False
-    shape = (-1, a.block_size, a.block_size)  # (0, N, N) for the zero symbol
-    blocks = np.array(list(coeffs.values())).reshape(shape)
-    mirrors = np.array([coeffs[-k] for k in coeffs]).reshape(shape)
+    blocks = _stacked(a)[1]  # (0, N, N) for the zero symbol
+    mirrors = np.array([coeffs[-k] for k in coeffs]).reshape(blocks.shape)
     return bool(np.array_equal(mirrors, blocks.conj().transpose(0, 2, 1)))
 
 

@@ -5,8 +5,11 @@ its exit code and every file it writes with the copies under
 ``tests/golden/cli``.  The files written by one case feed the later ones
 (the symbols, the expansion CSVs), so the cases run in order.  The bytes
 depend on the numpy/LAPACK build that wrote them (17 significant
-digits).  After an intended change of the outputs, regenerate the
-copies with
+digits), and the last bits of the block LU on the BLAS thread count, so
+the cases run in one child process whose BLAS libraries use one thread
+(the thread variables of _ONE_THREAD), whatever the caller's environment
+says.  After an intended change of the outputs, regenerate the copies
+with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -17,10 +20,12 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import toepasym
 from toepasym.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -65,21 +70,36 @@ CASES = [
 ]
 
 
-def _run_all(workdir):
-    """Run every case in workdir; return (argv, code, stderr, outputs) each."""
-    results = []
-    old = os.getcwd()
+#: every BLAS thread variable the libraries numpy and scipy may load read
+_ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                             "GOTO_NUM_THREADS"), "1")
+
+
+def _run_cases(workdir):
+    """Run every case in workdir and print [code, stderr] per case as JSON
+    (the child process of _run_all)."""
     os.chdir(workdir)
-    try:
-        for argv, _, files in CASES:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main(argv)
-            results.append((argv, code, err.getvalue(), {
-                name: (Path(workdir) / name).read_bytes() for name in files}))
-    finally:
-        os.chdir(old)
-    return results
+    results = []
+    for argv, _, _ in CASES:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        results.append((code, err.getvalue()))
+    print(json.dumps(results))
+
+
+def _run_all(workdir):
+    """Run every case in workdir, in a child process that imports this
+    toepasym with BLAS on one thread; return (argv, code, stderr, outputs)
+    each."""
+    path = [str(Path(toepasym.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run([sys.executable, __file__, "--cases", str(workdir)], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return [(argv, code, stderr, {name: (Path(workdir) / name).read_bytes() for name in files})
+            for (argv, _, files), (code, stderr) in zip(CASES, json.loads(child.stdout))]
 
 
 def test_cli_outputs_match_golden(tmp_path):
@@ -142,4 +162,7 @@ def _regenerate():
 
 
 if __name__ == "__main__":
-    sys.exit(_regenerate())
+    if sys.argv[1:2] == ["--cases"]:
+        _run_cases(sys.argv[2])
+    else:
+        sys.exit(_regenerate())

@@ -278,6 +278,22 @@ def test_correction_symbols_constant():
     np.testing.assert_allclose(ct.value, 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("name, b_support, c_support", [
+    ("two_block", (-1, 57), (-56, 1)),
+    ("lacunary", (-16, 123), (-128, 16)),
+])
+def test_correction_symbols_keep_their_supports(name, b_support, c_support,
+                                                two_block_symbol):
+    """The supports of b and c, which fix the work and the length of every
+    correction trace, are the ones the exact direct-sum products gave:
+    symbol products by FFT carry rounding into no trimmed tail."""
+    from test_traces import _lacunary_block
+    a = {"two_block": two_block_symbol, "lacunary": _lacunary_block(0.75, 4, 3)}[name]
+    b, c = tp.correction_symbols(tp.canonical_wiener_hopf(a))
+    assert b.support() == list(range(b_support[0], b_support[1] + 1))
+    assert c.support() == list(range(c_support[0], c_support[1] + 1))
+
+
 def test_sweep_constant_symbol():
     a = tp.constant_symbol(np.array([[1.0, 0.2], [0.0, 2.0]]))
     nodes = 20.0 * np.exp(2j * np.pi * np.arange(64) / 64)

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import toepasym as tp
-from toepasym.toeplitz import _block_hankel, _correction_sections, _offset_table
+from toepasym.symbol import _offset_table
+from toepasym.toeplitz import _block_hankel, _correction_sections
 from conftest import assemble, random_block_symbol, random_scalar_symbol
 
 
