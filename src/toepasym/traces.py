@@ -7,10 +7,15 @@ The trace of f over the section satisfies
 where trace_mean is the circle average of tr f(a) and trace_constant is a
 contour integral of f against the logarithmic derivative of the operator
 determinant det T(a-lambda) T((a-lambda)^-1).  That determinant is
-rewritten through the Hankel product identity as det(I - H(a) H(w~)) with
-w = (a-lambda)^-1, and the lambda derivative is taken analytically, which
-avoids branch tracking along the contour, a circle about the proved
-enclosure of sp T(a) and sp T(a~) inside which f must be analytic.
+rewritten through the Hankel product identity as det M with
+M = I - H(a) H(w~) and w = (a-lambda)^-1, on a circle about the proved
+enclosure of sp T(a) and sp T(a~) inside which f must be analytic.  The
+block size picks how the
+lambda derivative is taken.  Block symbols take the log determinant at
+each node and differentiate it along the contour by one FFT, which needs
+the nodes equispaced on the circle (as build_contour makes them); its
+phase must close around the contour, or SpectrumTooClose is raised.
+Scalar symbols take the analytic derivative tr(M^-1 M') at each node.
 """
 from __future__ import annotations
 
@@ -139,37 +144,50 @@ def trace_mean(a, f):
 
 
 def trace_constant(a, f, contour):
-    """Contour integral of f against d/dlambda log det T(a-l) T((a-l)^-1).
+    """Contour integral E_f = (1/2 pi i) oint f(l) d log det T(a-l) T((a-l)^-1).
 
     At each node the determinant is represented through
     M(l) = I - H(a) H(((a-l)^-1)~)   (the Hankel of a - l equals the
-    Hankel of a, constants carry no Hankel part), and the derivative is
-    the exact resolvent form tr(M^-1 M') with
-    M'(l) = -H(a) H(((a-l)^-2)~).  H(a) has only W nonzero rows and
-    columns when a has positive bandwidth W, which makes M block
-    triangular: every section of size m >= W yields the trace of the
-    W x W corner, so the corner is what gets evaluated.  Its entries are
-    the resolvent coefficients at offsets -1..-(2W-1), read from FFTs on
-    an M-point grid that doubles from max(a.grid_size, 16 W rounded up to
-    a power of two, 256) to max(a.grid_size, 2^15).  Sampling on M/2
-    points folds the bins at those offsets + M/2 onto them, so the
-    largest folded bin over the largest used bin, over every node and
-    both (a-l)^-1 and (a-l)^-2, is how far the used coefficients moved
-    from the half grid; the first grid where that gap is at most 1e-13,
-    or the folded bins are FFT round-off (at most 64 eps times the
-    largest sample), is accepted.
-    Only the accepted grid builds corners, one solve per node.
-    NoConvergence is raised when no grid up to the cap is accepted, and
-    at once when W > 2048.
+    Hankel of a, constants carry no Hankel part).  H(a) has only W
+    nonzero rows and columns when a has positive bandwidth W, which makes
+    M block triangular: every section of size m >= W carries the
+    determinant of the W x W corner, so the corner is what gets
+    evaluated.  Its entries are the resolvent coefficients at offsets
+    -1..-(2W-1).
 
-    The nodes run in chunks of at most 2^17 samples: one stacked inverse,
-    square and FFT per chunk, of which the used bins are kept; the corner
-    solves are summed in node order.  SpectrumTooClose is raised at the
-    first node of a chunk where the symbol's range comes within 1e-10 of
-    the node (smallest singular value of a - lambda on the grid); an SVD
-    decides this only for chunks where 1 / ||(a - lambda)^-1||_F does not
-    certify it or the inverse is too ill-conditioned to trust (see
-    symbol._guarded_inverse).
+    Two routes take the lambda derivative, chosen by the block size:
+    - block symbols (N > 1) take L(l) = log det M(l) from one slogdet of
+      the corner per node.  L is analytic and single-valued outside the
+      disk, so its phase, unwrapped along the nodes, must close to a
+      total of 0; SpectrumTooClose is raised when it closes to more than
+      pi in magnitude (the contour runs where a - l winds).  dL/dphi is
+      one FFT over the K nodes (bin k times i k, the Nyquist bin 0), and
+      E_f = sum_j f(l_j) dL/dphi_j / (i K).  This assumes the K nodes
+      equispaced in phi on one counter-clockwise turn, as build_contour
+      makes them; contour.weights are not read.
+    - scalar symbols (N = 1) take the exact resolvent form tr(M^-1 M')
+      with M'(l) = -H(a) H(((a-l)^-2)~), one solve per node, summed
+      against contour.weights.
+    The resolvent coefficients (and, for scalar symbols, those of its
+    square) are read from FFTs on an M-point grid that doubles from
+    max(a.grid_size, 16 W rounded up to a power of two, 256) to
+    max(a.grid_size, 2^15).  Sampling on M/2 points folds the bins at
+    those offsets + M/2 onto them, so the largest folded bin over the
+    largest used bin, over every node and every power read, is how far
+    the used coefficients moved from the half grid; the first grid where
+    that gap is at most 1e-13, or the folded bins are FFT round-off (at
+    most 64 eps times the largest sample), is accepted.  Only the
+    accepted grid builds corners, one per node.  NoConvergence is raised
+    when no grid up to the cap is accepted, and at once when W > 2048.
+
+    The nodes run in chunks of at most 2^17 samples: one stacked inverse
+    (and square) and FFT per chunk, of which the used bins are kept.
+    SpectrumTooClose is raised at the first node of a chunk where the
+    symbol's range comes within 1e-10 of the node (smallest singular
+    value of a - lambda on the grid); an SVD decides this only for chunks
+    where 1 / ||(a - lambda)^-1||_F does not certify it or the inverse is
+    too ill-conditioned to trust (see symbol._guarded_inverse).  f must
+    be analytic on the disk about contour.center that holds every node.
     """
     n = a.block_size
     band = max((k for k in a.coeffs if k > 0), default=0)
@@ -179,15 +197,17 @@ def trace_constant(a, f, contour):
         raise NoConvergence(f"trace_constant: bandwidth {band} exceeds the corner cap 2048")
     if hasattr(f, "check"):
         f.check(contour.nodes, where="contour nodes")
-        f.check_disk(contour.center, contour.radius)
+        reach = float(np.abs(contour.nodes - contour.center).max())
+        f.check_disk(contour.center, max(contour.radius, reach))
     fvals = f(contour.nodes)
     used = slice(-(2 * band - 1), None)  # the FFT bins of offsets -(2W-1)..-1
+    powers = 2 if n == 1 else 1  # only the scalar route reads (a-l)^-2
 
     def step(m_grid):
         samples = a.sample(m_grid).samples
         folded = slice(m_grid // 2 - (2 * band - 1), m_grid // 2)  # used + M/2
         # per power of the resolvent: largest used bin, folded bin, M x sample
-        peaks = np.zeros((2, 3))
+        peaks = np.zeros((powers, 3))
 
         def used_bins(values, power):
             top = m_grid * np.abs(values).max()
@@ -207,8 +227,9 @@ def trace_constant(a, f, contour):
                     if dist <= _SINGULAR_FLOOR:
                         raise SpectrumTooClose(
                             f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
-            inv2 = inv * inv if n == 1 else inv @ inv
-            return chunk, used_bins(inv, 0), used_bins(inv2, 1)
+            if powers == 1:
+                return chunk, used_bins(inv, 0)
+            return chunk, used_bins(inv, 0), used_bins(inv * inv, 1)
 
         chunks = _row_chunks(len(contour.nodes), m_grid * n * n)
         hats = [chunk_bins(chunk) for chunk in chunks]
@@ -221,20 +242,42 @@ def trace_constant(a, f, contour):
     # contiguous once here: numpy would copy the window view before every product
     ha = np.ascontiguousarray(hankel_section(a, band))
     eye = np.eye(band * n)
-    total = 0.0 + 0.0j
-    for chunk, hat1, hat2 in hats:
-        for lam, weight, fv, t1, t2 in zip(contour.nodes[chunk], contour.weights[chunk],
-                                          fvals[chunk], hat1, hat2):
-            # t[::-1] holds offsets -1, -2, ..., so block (j, k) is at -(j+k+1)
-            mmat = eye - ha @ _block_hankel(t1[::-1], band, band)
-            mprime = -(ha @ _block_hankel(t2[::-1], band, band))
-            try:
-                solved = np.linalg.solve(mmat, mprime)
-            except np.linalg.LinAlgError as exc:
-                raise SpectrumTooClose(
-                    f"determinant representation singular at lambda={lam:.6g}") from exc
-            total += weight * fv * np.trace(solved)
-    return complex(total / (2j * np.pi))
+
+    def corner(table):
+        # table[::-1] holds offsets -1, -2, ..., so block (j, k) is at -(j+k+1)
+        return ha @ _block_hankel(table[::-1], band, band)
+
+    if n == 1:
+        total = 0.0 + 0.0j
+        for chunk, hat1, hat2 in hats:
+            for lam, weight, fv, t1, t2 in zip(contour.nodes[chunk], contour.weights[chunk],
+                                              fvals[chunk], hat1, hat2):
+                try:
+                    solved = np.linalg.solve(eye - corner(t1), -corner(t2))
+                except np.linalg.LinAlgError as exc:
+                    raise SpectrumTooClose(
+                        f"determinant representation singular at lambda={lam:.6g}") from exc
+                total += weight * fv * np.trace(solved)
+        return complex(total / (2j * np.pi))
+    # one corner at a time: stacking every node's corner raises the peak memory
+    signs, logabs = zip(*(np.linalg.slogdet(eye - corner(t1))
+                          for _, hat1 in hats for t1 in hat1))
+    signs = np.array(signs)
+    if not signs.all():
+        lam = contour.nodes[np.argmin(np.abs(signs))]
+        raise SpectrumTooClose(f"determinant representation singular at lambda={lam:.6g}")
+    # L is single-valued outside the disk: its phase must close along the nodes
+    phase = np.unwrap(np.angle(np.append(signs, signs[:1])))
+    turns = (phase[-1] - phase[0]) / (2 * np.pi)
+    if abs(turns) > 0.5:
+        raise SpectrumTooClose(
+            f"log det M winds {round(turns)} times along the contour: a - lambda winds there")
+    k = len(signs)
+    freqs = np.fft.fftfreq(k, 1.0 / k)
+    if k % 2 == 0:
+        freqs[k // 2] = 0.0  # the Nyquist bin has no odd derivative
+    dl = np.fft.ifft(1j * freqs * np.fft.fft(np.array(logabs) + 1j * phase[:-1]))
+    return complex(np.sum(fvals * dl) / (1j * k))
 
 
 def _target_slope(a):

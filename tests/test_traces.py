@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import toepasym as tp
@@ -161,6 +161,19 @@ def test_trace_constant_rejects_a_disk_around_the_branch_point():
         assert abs(tp.trace_f_direct(a, n, log) - ((n + 1) * gf + ef)) < 1e-7
 
 
+def test_trace_constant_checks_the_disk_that_holds_the_nodes():
+    # build_contour's nodes about the symbol, labelled with a far center
+    # and a small radius: the disk about 10 that reaches every node meets
+    # log's branch cut, though the labelled disk misses it
+    a = tp.scalar_symbol({0: 1.5 + 0.5j, 1: 0.8, -1: 0.5})
+    built = tp.build_contour(tp.estimate_spectrum(a), 0.5)
+    relabelled = tp.ContourSpec(nodes=built.nodes, weights=built.weights,
+                                clearance=built.clearance, center=10.0, radius=1.0)
+    tp.principal_log().check_disk(10.0, 1.0)
+    with pytest.raises(tp.FNotAnalyticAtSample, match="log is not analytic on the disk"):
+        tp.trace_constant(a, tp.principal_log(), relabelled)
+
+
 def test_trace_constant_rejects_a_pole_in_the_disk(rational_symbol, fixture_contour):
     _, contour = fixture_contour  # center 1.25, radius about 1.5
     with pytest.raises(tp.FNotAnalyticAtSample):
@@ -236,21 +249,23 @@ def test_trace_constant_own_grid_above_cap(fixture_contour):
     assert tp.trace_constant(a, tp.SQUARE, contour) == pytest.approx(-0.5, abs=1e-9)
 
 
-def _node_traces(a, contour, grid=None):
-    """Reference: tr(M^-1 M') at every contour node, each node evaluated
-    on its own, the symbol-range guard an exact SVD per node.  The grid
-    doubles from max(a.grid_size, default_grid_size(2 W)) until the used
-    FFT bins (offsets -1..-(2W-1)) move by at most 1e-13 of their largest
-    from the half grid, or those bins + M/2 are round-off; a given
-    ``grid`` is used alone, with no gap test and no guard."""
+def _node_hats(a, contour, powers, grid=None):
+    """Reference resolvent bins: the FFT bins at offsets -1..-(2W-1) of
+    (a - lambda)^-1 and, when ``powers`` is 2, of (a - lambda)^-2, at
+    every contour node, each node evaluated on its own, the symbol-range
+    guard an exact SVD per node.  The grid doubles from
+    max(a.grid_size, default_grid_size(2 W)) until the used bins of every
+    power move by at most 1e-13 of their largest from the half grid, or
+    those bins + M/2 are round-off; a given ``grid`` is used alone, with
+    no gap test and no guard."""
     n = a.block_size
     band = max((k for k in a.coeffs if k > 0), default=0)
     used = slice(-(2 * band - 1), None)
 
-    def node_hats(m_grid, guard=True):
+    def grid_hats(m_grid, guard=True):
         samples = a.sample(m_grid).samples
         folded = slice(m_grid // 2 - (2 * band - 1), m_grid // 2)
-        hats, peaks = [], np.zeros((2, 3))
+        hats, peaks = [], np.zeros((powers, 3))
         for lam in contour.nodes:
             shifted = samples - lam * np.eye(n)
             if guard:
@@ -262,7 +277,7 @@ def _node_traces(a, contour, grid=None):
             inv = 1.0 / shifted if n == 1 else np.linalg.inv(shifted)
             inv2 = inv * inv if n == 1 else inv @ inv
             pair = []
-            for power, values in enumerate((inv, inv2)):
+            for power, values in enumerate((inv, inv2)[:powers]):
                 full = np.fft.fft(values, axis=0)
                 pair.append(full[used] / m_grid)
                 peaks[power] = np.maximum(peaks[power], [np.abs(full[used]).max(),
@@ -275,22 +290,32 @@ def _node_traces(a, contour, grid=None):
 
     if grid is None:
         grid = max(a.grid_size, default_grid_size(2 * band))
-        hats, gap = node_hats(grid)
+        hats, gap = grid_hats(grid)
         while gap > 1e-13:
             grid *= 2
             assert grid <= 1 << 15
-            hats, gap = node_hats(grid)
+            hats, gap = grid_hats(grid)
     else:
-        hats, _ = node_hats(grid, guard=False)
+        hats, _ = grid_hats(grid, guard=False)
+    return hats
+
+
+def _corners(a, hats):
+    """The corners H(a) H(hat~) of every node's bins, one per power."""
+    n = a.block_size
+    band = max((k for k in a.coeffs if k > 0), default=0)
     ha = tp.hankel_section(a, band)
-    eye = np.eye(band * n)
     j = np.arange(band)
     idx = -(j[:, None] + j[None, :] + 1)
-    traces = []
-    for h1, h2 in hats:
-        solved = np.linalg.solve(eye - ha @ assemble(h1, idx, 0), -(ha @ assemble(h2, idx, 0)))
-        traces.append(np.trace(solved))
-    return traces
+    return np.eye(band * n), [[ha @ assemble(h, idx, 0) for h in pair] for pair in hats]
+
+
+def _node_traces(a, contour, grid=None):
+    """Reference: tr(M^-1 M') at every contour node from the bins of
+    (a - lambda)^-1 and (a - lambda)^-2 (_node_hats), the dense-corner
+    route, one solve per node."""
+    eye, corners = _corners(a, _node_hats(a, contour, 2, grid))
+    return [np.trace(np.linalg.solve(eye - m1, -m2)) for m1, m2 in corners]
 
 
 def _per_node_trace_constant(a, f, contour, traces=None):
@@ -301,6 +326,37 @@ def _per_node_trace_constant(a, f, contour, traces=None):
     for weight, fv, tr in zip(contour.weights, f(contour.nodes), traces):
         total += weight * fv * tr
     return complex(total / (2j * np.pi))
+
+
+def _node_log_dets(a, contour, grid=None):
+    """Reference: slogdet(M) at every contour node from the bins of
+    (a - lambda)^-1 alone (_node_hats), the block route's grid rule."""
+    eye, corners = _corners(a, _node_hats(a, contour, 1, grid))
+    return [np.linalg.slogdet(eye - m1) for (m1,) in corners]
+
+
+def _per_node_log_det_constant(a, f, contour, grid=None):
+    """Reference: (1/2 pi i) oint f dL over _node_log_dets, L's phase
+    unwrapped along the nodes, dL/dphi by one FFT with the Nyquist bin 0."""
+    log_dets = _node_log_dets(a, contour, grid)
+    k = len(log_dets)
+    signs = np.array([sign for sign, _ in log_dets])
+    phase = np.unwrap(np.angle(np.append(signs, signs[0])))
+    assert abs(phase[-1] - phase[0]) < 1e-9
+    freqs = np.fft.fftfreq(k, 1.0 / k)
+    if k % 2 == 0:
+        freqs[k // 2] = 0.0
+    log_det = np.array([value for _, value in log_dets]) + 1j * phase[:-1]
+    dl = np.fft.ifft(1j * freqs * np.fft.fft(log_det))
+    return complex(np.sum(f(contour.nodes) * dl) / (1j * k))
+
+
+def _reference_constant(a, f, contour, grid=None):
+    """The same-rule per-node reference of trace_constant's route for a:
+    slogdet + FFT for block symbols, the dense-corner solve for scalars."""
+    if a.block_size == 1:
+        return _per_node_trace_constant(a, f, contour, _node_traces(a, contour, grid))
+    return _per_node_log_det_constant(a, f, contour, grid)
 
 
 def _lacunary_block(gamma, levels, seed):
@@ -348,9 +404,8 @@ def test_batched_trace_constant_matches_per_node(name, two_block_symbol, rationa
         m_grid = max(a.grid_size, default_grid_size(2 * band))
         per_chunk = _BATCH_SAMPLES // (m_grid * a.block_size**2)
         contour = _circle(contour.center, contour.radius, per_chunk + 1)
-    traces = _node_traces(a, contour)
     for f in (tp.SQUARE, tp.exponential()):
-        assert tp.trace_constant(a, f, contour) == _per_node_trace_constant(a, f, contour, traces)
+        assert tp.trace_constant(a, f, contour) == _reference_constant(a, f, contour)
 
 
 def test_trace_constant_guard_fallback_matches_per_node(two_block_symbol):
@@ -364,7 +419,7 @@ def test_trace_constant_guard_fallback_matches_per_node(two_block_symbol):
     shifted = a.sample().samples - contour.nodes[0] * np.eye(2)  # the grid it accepts
     inv, margins = _guarded_inverse(shifted)
     assert margins is not None and margins.min() > 1e-10
-    assert tp.trace_constant(a, tp.SQUARE, contour) == _per_node_trace_constant(
+    assert tp.trace_constant(a, tp.SQUARE, contour) == _reference_constant(
         a, tp.SQUARE, contour)
 
 
@@ -374,20 +429,21 @@ def test_trace_constant_matches_fine_grid(name, two_block_symbol, rational_symbo
          "hermitian3": _hermitian3(5), "scalar": rational_symbol,
          "zygmund": tp.zygmund_symbol(0.75, 5)}[name]
     contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
-    traces = _node_traces(a, contour, grid=16384)
     for f in (tp.SQUARE, tp.exponential()):
         ef = tp.trace_constant(a, f, contour)
-        reference = _per_node_trace_constant(a, f, contour, traces)
+        reference = _reference_constant(a, f, contour, grid=16384)
         assert abs(ef - reference) <= 1e-13 * max(1.0, abs(ef))
 
 
-def test_trace_constant_builds_corners_once(monkeypatch):
-    # this symbol rejects its start grid 256 and accepts 512
+def test_trace_constant_builds_corners_once(monkeypatch, rational_symbol):
+    # the block symbol rejects its start grid 256 and accepts 512; it takes
+    # one slogdet per node, the scalar one solve per node
     import toepasym.traces
     a = _lacunary_block(0.75, 4, 3)
     contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
-    grids, counts = [], {"hankel_section": 0, "solve": 0}
-    sample, hankel, solve = tp.LaurentMatrixSeries.sample, tp.hankel_section, np.linalg.solve
+    grids, counts = [], dict.fromkeys(("hankel_section", "slogdet", "solve"), 0)
+    sample, hankel = tp.LaurentMatrixSeries.sample, tp.hankel_section
+    slogdet, solve = np.linalg.slogdet, np.linalg.solve
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -401,10 +457,17 @@ def test_trace_constant_builds_corners_once(monkeypatch):
 
     monkeypatch.setattr(tp.LaurentMatrixSeries, "sample", spy)
     monkeypatch.setattr(toepasym.traces, "hankel_section", counting("hankel_section", hankel))
+    monkeypatch.setattr(np.linalg, "slogdet", counting("slogdet", slogdet))
     monkeypatch.setattr(np.linalg, "solve", counting("solve", solve))
     tp.trace_constant(a, tp.SQUARE, contour)
     assert grids == [256, 512]
-    assert counts == {"hankel_section": 1, "solve": 64}
+    assert counts == {"hankel_section": 1, "slogdet": 64, "solve": 0}
+    scalar_contour = tp.build_contour(tp.estimate_spectrum(rational_symbol), 0.5, nodes=64)
+    grids.clear()
+    counts.update(dict.fromkeys(counts, 0))
+    tp.trace_constant(rational_symbol, tp.SQUARE, scalar_contour)
+    assert grids == [256]
+    assert counts == {"hankel_section": 1, "slogdet": 0, "solve": 64}
 
 
 def test_trace_constant_raises_at_grid_cap(rational_symbol):
@@ -445,6 +508,62 @@ def test_trace_constant_node_near_range_raises():
     with pytest.raises(tp.SpectrumTooClose) as info:
         tp.trace_constant(a, tp.SQUARE, contour)
     assert str(info.value) == "symbol range within 1.000e-11 of node lambda=1.1+0j"
+
+
+def test_trace_constant_raises_when_log_det_winds():
+    # a = t^2 + 0.2 / t winds twice about every point of the small circle,
+    # which clears its range (|a| >= 0.8): log det M turns along it
+    a = tp.LaurentMatrixSeries(2, {2: np.eye(2), -1: 0.2 * np.eye(2)})
+    contour = _circle(0j, 0.05, 64)
+    assert np.abs(a.sample().samples[:, 0, 0]).min() > 0.75
+    with pytest.raises(tp.SpectrumTooClose, match="winds"):
+        tp.trace_constant(a, tp.SQUARE, contour)
+
+
+@st.composite
+def _hermitian_blocks(draw):
+    """A random Hermitian 2x2 or 3x3 symbol with offsets up to 3, its
+    smallest eigenvalue at least 1 on the circle."""
+    n = draw(st.sampled_from([2, 3]))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def block():
+        re = draw(st.lists(parts, min_size=n * n, max_size=n * n))
+        im = draw(st.lists(parts, min_size=n * n, max_size=n * n))
+        return 0.3 * (np.array(re) + 1j * np.array(im)).reshape(n, n)
+
+    coeffs, shift = {}, 1.0
+    for k in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)):
+        blk = block()
+        coeffs[k], coeffs[-k] = blk, blk.conj().T
+        shift += 2.0 * np.linalg.norm(blk, 2)
+    mid = block()
+    mid = mid + mid.conj().T
+    coeffs[0] = mid + (shift + np.linalg.norm(mid, 2)) * np.eye(n)
+    return tp.LaurentMatrixSeries(n, coeffs)
+
+
+@settings(max_examples=20)
+@given(_hermitian_blocks())
+def test_block_route_matches_the_dense_corner(a):
+    assume(max(a.coeffs) > 0)  # zero blocks are not stored
+    contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=256)
+    traces = _node_traces(a, contour)
+    for f in (tp.SQUARE, tp.exponential(), tp.principal_log()):
+        ef = tp.trace_constant(a, f, contour)
+        reference = _per_node_trace_constant(a, f, contour, traces)
+        assert abs(ef - reference) <= 1e-11 * max(1.0, abs(ef))
+
+
+@pytest.mark.parametrize("nodes, tol", [(128, 1e-13), (64, 2e-12)])
+def test_log_trace_constant_is_log_szego_constant(nodes, tol):
+    # E_log = log E(a): the trace half at f = log meets the determinant
+    # half.  At 64 nodes the block route measures 8.8e-13 here, where the
+    # dense corner's trapezoid sum measured 2.9e-10.
+    a = _lacunary_block(0.75, 4, 3)
+    contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=nodes)
+    ef = tp.trace_constant(a, tp.principal_log(), contour)
+    assert abs(ef - np.log(tp.szego_constant(a))) <= tol
 
 
 def test_trace_asymptotic_exact_identity(rational_symbol, fixture_contour):
