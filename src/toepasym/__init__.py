@@ -35,9 +35,9 @@ from .symbol import (LaurentMatrixSeries, SymbolGrid, add_constant,
                      multiply, reverse, save_symbol, scalar_symbol,
                      symbol_from_json, symbol_to_json, winding_number,
                      zygmund_symbol)
-from .toeplitz import (CorrectionTerm, TruncationNorms, correction_term,
-                       hankel_section, log_det_direct, log_det_scan,
-                       toeplitz_section, trace_f_direct, truncation_norms)
+from .toeplitz import (TruncationNorms, hankel_section, log_det_direct,
+                       log_det_scan, toeplitz_section, trace_f_direct,
+                       truncation_norms)
 from .traces import (ContourSpec, SpectrumEstimate, build_contour,
                      estimate_spectrum, trace_constant, trace_mean,
                      trace_remainder_scan)

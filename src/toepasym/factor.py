@@ -353,20 +353,11 @@ def factorization_sweep(a, contour, section=256):
                 f"section nearly singular at lambda={lam:.6g}: {exc}") from exc
     grid = _common_grid([f for w in factors
                          for f in (w.u_minus, w.u_plus, w.v_plus, w.v_minus)])
-    stacked = []
-    for w in factors:
-        gauged = []
-        for f in (w.u_minus, w.u_plus, w.v_plus, w.v_minus):
-            samples = f.sample(grid).samples
-            gauged.append(np.linalg.inv(f.block(0)) @ samples)
-        stacked.append(gauged)
-    continuity = 0.0
-    count = len(factors)
-    for i in range(count):
-        j = (i + 1) % count
-        for part in range(4):
-            diff = float(np.max(np.abs(stacked[i][part] - stacked[j][part])))
-            continuity = max(continuity, diff)
+    # (K, 4, M, N, N); the roll pairs each node with the next, the last with the first
+    gauged = np.array([[np.linalg.inv(f.block(0)) @ f.sample(grid).samples
+                        for f in (w.u_minus, w.u_plus, w.v_plus, w.v_minus)]
+                       for w in factors])
+    continuity = float(np.max(np.abs(gauged - np.roll(gauged, -1, axis=0))))
     max_res = max(max(w.residuals.product_residual_right,
                       w.residuals.product_residual_left) for w in factors)
     return FactorizationSweep(tuple(factors), continuity, max_res)

@@ -13,8 +13,9 @@ enclosure of sp T(a) and sp T(a~) inside which f must be analytic.  The
 block size picks how the
 lambda derivative is taken.  Block symbols take the log determinant at
 each node and differentiate it along the contour by one FFT, which needs
-the nodes equispaced on the circle (as build_contour makes them); its
-phase must close around the contour, or SpectrumTooClose is raised.
+the nodes equispaced counter-clockwise on the circle (as build_contour
+makes them, and as is checked); its phase must close around the contour,
+or SpectrumTooClose is raised.
 Scalar symbols take the analytic derivative tr(M^-1 M') at each node.
 """
 from __future__ import annotations
@@ -34,26 +35,11 @@ from .toeplitz import _block_hankel, hankel_section, trace_f_direct
 @dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     """Disk about centroid of radius max_radius holding sp T(a) and sp T(a~),
-    and the symbol's pointwise eigenvalues with their bounding box; from_points
-    takes the points' mean and largest distance from it."""
+    and the symbol's pointwise eigenvalues on its own grid (estimate_spectrum)."""
 
     points: np.ndarray
     centroid: complex
     max_radius: float
-    bbox: tuple
-
-    @classmethod
-    def from_points(cls, points):
-        pts = np.asarray(points, dtype=complex).ravel()
-        if pts.size == 0:
-            raise ValueError("empty spectrum estimate")
-        if not np.all(np.isfinite(pts)):
-            raise EigFailure("non-finite eigenvalue in the spectrum estimate")
-        centroid = complex(pts.mean())
-        return cls(points=pts, centroid=centroid,
-                   max_radius=float(np.max(np.abs(pts - centroid))),
-                   bbox=(float(pts.real.min()), float(pts.real.max()),
-                         float(pts.imag.min()), float(pts.imag.max())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +74,8 @@ def estimate_spectrum(a):
         points = samples[:, 0, 0] if n == 1 else np.linalg.eigvals(samples).ravel()
         if not np.all(np.isfinite(points)):
             raise EigFailure("non-finite eigenvalue in the spectrum estimate")
-        bbox = (float(points.real.min()), float(points.real.max()),
-                float(points.imag.min()), float(points.imag.max()))
-        centroid = complex(0.5 * (bbox[0] + bbox[1]), 0.5 * (bbox[2] + bbox[3]))
+        centroid = complex(0.5 * (points.real.min() + points.real.max()),
+                           0.5 * (points.imag.min() + points.imag.max()))
         m = max(a.grid_size, _pow2_at_least(32 * k))
         shifted = a.sample(m).samples - centroid * np.eye(n)
         norms = (np.abs(shifted[:, 0, 0]) if n == 1
@@ -98,8 +83,7 @@ def estimate_spectrum(a):
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
     return SpectrumEstimate(points=points, centroid=centroid,
-                            max_radius=float(norms.max()) / math.cos(math.pi * k / m),
-                            bbox=bbox)
+                            max_radius=float(norms.max()) / math.cos(math.pi * k / m))
 
 
 def build_contour(spectrum, margin, nodes=256):
@@ -162,9 +146,11 @@ def trace_constant(a, f, contour):
       total of 0; SpectrumTooClose is raised when it closes to more than
       pi in magnitude (the contour runs where a - l winds).  dL/dphi is
       one FFT over the K nodes (bin k times i k, the Nyquist bin 0), and
-      E_f = sum_j f(l_j) dL/dphi_j / (i K).  This assumes the K nodes
-      equispaced in phi on one counter-clockwise turn, as build_contour
-      makes them; contour.weights are not read.
+      E_f = sum_j f(l_j) dL/dphi_j / (i K).  This needs the nodes
+      l_j = contour.center + contour.radius exp(2 pi i j / K), as
+      build_contour makes them: after the grid stage, ValueError is
+      raised when a node is further than 1e-12 (radius + |center|) from
+      its place.  contour.weights are not read.
     - scalar symbols (N = 1) take the exact resolvent form tr(M^-1 M')
       with M'(l) = -H(a) H(((a-l)^-2)~), one solve per node, summed
       against contour.weights.
@@ -227,9 +213,8 @@ def trace_constant(a, f, contour):
                     if dist <= _SINGULAR_FLOOR:
                         raise SpectrumTooClose(
                             f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
-            if powers == 1:
-                return chunk, used_bins(inv, 0)
-            return chunk, used_bins(inv, 0), used_bins(inv * inv, 1)
+            bins = used_bins(inv, 0)
+            return (bins,) if powers == 1 else (bins, used_bins(inv * inv, 1))
 
         chunks = _row_chunks(len(contour.nodes), m_grid * n * n)
         hats = [chunk_bins(chunk) for chunk in chunks]
@@ -237,8 +222,9 @@ def trace_constant(a, f, contour):
         return hats, max(0.0 if folded <= _NOISE_FACTOR * top else folded / big
                          for big, folded, top in peaks)
 
-    hats = _refine(step, max(a.grid_size, default_grid_size(2 * band)),
-                   max(a.grid_size, 1 << 15), 1e-13)
+    chunked = _refine(step, max(a.grid_size, default_grid_size(2 * band)),
+                      max(a.grid_size, 1 << 15), 1e-13)
+    hats = [np.concatenate(power) for power in zip(*chunked)]  # per power, one row per node
     # contiguous once here: numpy would copy the window view before every product
     ha = np.ascontiguousarray(hankel_section(a, band))
     eye = np.eye(band * n)
@@ -249,19 +235,22 @@ def trace_constant(a, f, contour):
 
     if n == 1:
         total = 0.0 + 0.0j
-        for chunk, hat1, hat2 in hats:
-            for lam, weight, fv, t1, t2 in zip(contour.nodes[chunk], contour.weights[chunk],
-                                              fvals[chunk], hat1, hat2):
-                try:
-                    solved = np.linalg.solve(eye - corner(t1), -corner(t2))
-                except np.linalg.LinAlgError as exc:
-                    raise SpectrumTooClose(
-                        f"determinant representation singular at lambda={lam:.6g}") from exc
-                total += weight * fv * np.trace(solved)
+        for lam, weight, fv, t1, t2 in zip(contour.nodes, contour.weights, fvals, *hats):
+            try:
+                solved = np.linalg.solve(eye - corner(t1), -corner(t2))
+            except np.linalg.LinAlgError as exc:
+                raise SpectrumTooClose(
+                    f"determinant representation singular at lambda={lam:.6g}") from exc
+            total += weight * fv * np.trace(solved)
         return complex(total / (2j * np.pi))
+    # the FFT below differentiates along the nodes of build_contour's circle
+    k = len(contour.nodes)
+    circle = contour.center + contour.radius * np.exp(2j * np.pi * np.arange(k) / k)
+    if np.abs(contour.nodes - circle).max() > 1e-12 * (contour.radius + abs(contour.center)):
+        raise ValueError("trace_constant: block symbols need the contour nodes "
+                         "center + radius exp(2 pi i j / K), j = 0..K-1")
     # one corner at a time: stacking every node's corner raises the peak memory
-    signs, logabs = zip(*(np.linalg.slogdet(eye - corner(t1))
-                          for _, hat1 in hats for t1 in hat1))
+    signs, logabs = zip(*(np.linalg.slogdet(eye - corner(t1)) for t1 in hats[0]))
     signs = np.array(signs)
     if not signs.all():
         lam = contour.nodes[np.argmin(np.abs(signs))]
@@ -272,7 +261,6 @@ def trace_constant(a, f, contour):
     if abs(turns) > 0.5:
         raise SpectrumTooClose(
             f"log det M winds {round(turns)} times along the contour: a - lambda winds there")
-    k = len(signs)
     freqs = np.fft.fftfreq(k, 1.0 / k)
     if k % 2 == 0:
         freqs[k // 2] = 0.0  # the Nyquist bin has no odd derivative

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import toepasym as tp
 from toepasym import symbol
 from toepasym.asymptotics import _correction_trace_series
+from toepasym.toeplitz import correction_term
 from conftest import random_block_symbol
 
 
@@ -158,7 +159,7 @@ def _dense_traces(b, c, p, upto):
     out = np.zeros(upto, dtype=complex)
     for ell in range(1, upto + 1):
         m = max(_support(b, c), ell + 9)
-        g = [tp.correction_term(b, c, ell, k, m=m).value for k in range(p - 1)]
+        g = [correction_term(b, c, ell, k, m=m).value for k in range(p - 1)]
         out[ell - 1] = sum(np.trace(np.linalg.matrix_power(sum(g[:p - j]), j)) / j
                            for j in range(1, p))
     return out

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym import factor
+from toepasym.toeplitz import correction_term
 
 
 def _sup_diff(x, y):
@@ -274,7 +275,7 @@ def test_correction_symbols_constant():
     np.testing.assert_allclose(b.block(0), np.linalg.inv(a), atol=1e-9)
     np.testing.assert_allclose(c.block(0), a, atol=1e-9)
     assert all(np.max(np.abs(b.block(k))) < 1e-9 for k in b.support() if k != 0)
-    ct = tp.correction_term(b, c, 1, 0)
+    ct = correction_term(b, c, 1, 0)
     np.testing.assert_allclose(ct.value, 0.0, atol=1e-9)
 
 
@@ -323,6 +324,36 @@ def test_sweep_far_contour_neumann_regime(rational_symbol):
     assert sweep.continuity_diagnostic < 0.1
     for w in sweep.factors:
         assert _sup_diff(w.u_minus, tp.identity_symbol()) < 0.1
+
+
+def _continuity_by_pairs(factors):
+    """Reference: the sup-norm difference of the gauged factors at each
+    pair of adjacent nodes, the wrap-around pair included, one pair at a
+    time."""
+    grid = factor._common_grid([f for w in factors
+                                for f in (w.u_minus, w.u_plus, w.v_plus, w.v_minus)])
+    gauged = [[np.linalg.inv(f.block(0)) @ f.sample(grid).samples
+               for f in (w.u_minus, w.u_plus, w.v_plus, w.v_minus)] for w in factors]
+    continuity = 0.0
+    for i in range(len(gauged)):
+        j = (i + 1) % len(gauged)
+        for part in range(4):
+            continuity = max(continuity,
+                             float(np.max(np.abs(gauged[i][part] - gauged[j][part]))))
+    return continuity
+
+
+@pytest.mark.parametrize("name, nodes, section", [("two_block", 8, 32), ("rational", 64, 64)])
+def test_sweep_continuity_matches_the_pair_loop(name, nodes, section, two_block_symbol,
+                                                rational_symbol):
+    # the two-block case is the benchmark's sweep: 8 nodes of the margin-0.5 circle
+    a = {"two_block": two_block_symbol, "rational": rational_symbol}[name]
+    circle = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
+    contour = tp.ContourSpec(nodes=circle.nodes[::64 // nodes], weights=np.ones(nodes),
+                             clearance=circle.clearance, center=circle.center,
+                             radius=circle.radius)
+    sweep = tp.factorization_sweep(a, contour, section=section)
+    assert sweep.continuity_diagnostic == _continuity_by_pairs(sweep.factors)
 
 
 def test_factorization_passes_take_no_svd(monkeypatch, rational_symbol, two_block_symbol):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.symbol import _offset_table
-from toepasym.toeplitz import _block_hankel, _correction_sections
+from toepasym.toeplitz import _block_hankel, _correction_sections, correction_term
 from conftest import assemble, random_block_symbol, random_scalar_symbol
 
 
@@ -145,24 +145,24 @@ def test_correction_term_identity_symbol_vanishes():
     one = tp.identity_symbol()
     for ell in (0, 1, 3):
         for k in (0, 1, 2):
-            ct = tp.correction_term(one, one, ell, k)
+            ct = correction_term(one, one, ell, k)
             np.testing.assert_allclose(ct.value, 0.0)
             assert ct.truncation_error_bound == 0.0
 
 
 def test_correction_term_rational_closed_form(rational_bc):
     b, c = rational_bc
-    ct = tp.correction_term(b, c, 1, 0)
+    ct = correction_term(b, c, 1, 0)
     assert ct.value[0, 0] == pytest.approx(0.046875, abs=1e-12)
     # stability under enlarging the truncation
-    ct2 = tp.correction_term(b, c, 1, 0, m=64)
+    ct2 = correction_term(b, c, 1, 0, m=64)
     assert abs(ct.value[0, 0] - ct2.value[0, 0]) < 1e-10
 
 
 def test_correction_term_submultiplicative(rational_bc):
     b, c = rational_bc
     ell, k, m = 1, 5, 12
-    ct = tp.correction_term(b, c, ell, k, m=m, tail_tol=1.0)
+    ct = correction_term(b, c, ell, k, m=m, tail_tol=1.0)
     row, inner, col = _correction_sections(b, c, ell, m)
     bound = (np.linalg.norm(row, 2) * np.linalg.norm(col, 2)
              * np.linalg.norm(inner, 2) ** k)
@@ -173,7 +173,7 @@ def test_correction_term_submultiplicative(rational_bc):
 def test_correction_term_validation(rational_bc):
     b, c = rational_bc
     with pytest.raises(ValueError):
-        tp.correction_term(b, c, 4, 0, m=10)
+        correction_term(b, c, 4, 0, m=10)
 
 
 def test_log_det_direct(rational_symbol):

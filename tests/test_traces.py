@@ -45,8 +45,11 @@ def test_estimate_spectrum_constant_matrix():
 
 def test_estimate_spectrum_fixture(rational_symbol):
     s = tp.estimate_spectrum(rational_symbol)
-    assert s.bbox[0] >= 0.25 - 1e-6 and s.bbox[1] <= 2.25 + 1e-6
-    assert abs(s.bbox[2]) < 1e-8 and abs(s.bbox[3]) < 1e-8
+    re, im = s.points.real, s.points.imag
+    assert re.min() >= 0.25 - 1e-6 and re.max() <= 2.25 + 1e-6
+    assert np.abs(im).max() < 1e-8
+    # the disk's center is the midpoint of the points' extremes
+    assert s.centroid == complex(0.5 * (re.min() + re.max()), 0.5 * (im.min() + im.max()))
 
 
 @st.composite
@@ -106,8 +109,13 @@ def test_split_spectrum_gets_one_circle():
     assert abs(tp.trace_constant(a, tp.SQUARE, contour) - exact) <= 1e-10
 
 
+def _point(z):
+    """The disk of radius 0 about z."""
+    return tp.SpectrumEstimate(points=np.array([complex(z)]), centroid=complex(z), max_radius=0.0)
+
+
 def test_build_contour_singleton():
-    s = tp.SpectrumEstimate.from_points([1.25])
+    s = _point(1.25)
     c = tp.build_contour(s, 1.0, nodes=64)
     assert c.center == pytest.approx(1.25)
     assert c.radius == pytest.approx(1.0)
@@ -122,7 +130,7 @@ def test_build_contour_fixture(fixture_contour):
 
 
 def test_build_contour_validation():
-    s = tp.SpectrumEstimate.from_points([1.0])
+    s = _point(1.0)
     for margin in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="margin must be positive and finite"):
             tp.build_contour(s, margin)
@@ -231,7 +239,7 @@ def test_trace_constant_cauchy_deformation(rational_symbol, fixture_contour):
 def test_trace_constant_raises_above_section_cap():
     # bandwidth 4096 starts above the section cap 2048: no corner is built
     a = tp.scalar_symbol({0: 10.0, 4096: 1.0, -4096: 1.0})
-    contour = tp.build_contour(tp.SpectrumEstimate.from_points([10.0]), 3.0, nodes=64)
+    contour = tp.build_contour(_point(10.0), 3.0, nodes=64)
     tracemalloc.start()
     try:
         with pytest.raises(tp.NoConvergence, match="trace_constant"):
@@ -518,6 +526,24 @@ def test_trace_constant_raises_when_log_det_winds():
     assert np.abs(a.sample().samples[:, 0, 0]).min() > 0.75
     with pytest.raises(tp.SpectrumTooClose, match="winds"):
         tp.trace_constant(a, tp.SQUARE, contour)
+
+
+@pytest.mark.parametrize("order", ["shuffled", "reversed"])
+def test_block_route_rejects_reordered_nodes(order, two_block_symbol, rational_symbol):
+    # the FFT along the nodes reads them as build_contour's counter-clockwise
+    # turn: without the check, the shuffled nodes gave -2.0858-1.0059j and
+    # the reversed ones +1.02 for the exact -1.02
+    contour = tp.build_contour(tp.estimate_spectrum(two_block_symbol), 0.5, nodes=64)
+    perm = (np.random.default_rng(0).permutation(64) if order == "shuffled"
+            else np.arange(64)[::-1])
+    moved = tp.ContourSpec(nodes=contour.nodes[perm], weights=contour.weights[perm],
+                           clearance=contour.clearance, center=contour.center,
+                           radius=contour.radius)
+    assert tp.trace_constant(two_block_symbol, tp.SQUARE, contour) == pytest.approx(-1.02)
+    with pytest.raises(ValueError, match="block symbols need the contour nodes"):
+        tp.trace_constant(two_block_symbol, tp.SQUARE, moved)
+    # the scalar route sums against the weights, in any order
+    assert tp.trace_constant(rational_symbol, tp.SQUARE, moved) == pytest.approx(-0.5)
 
 
 @st.composite
