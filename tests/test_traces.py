@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import toepasym as tp
 from toepasym.symbol import _BATCH_SAMPLES, default_grid_size
+from toepasym.toeplitz import _is_hermitian
 from conftest import assemble
 
 
@@ -48,8 +49,19 @@ def test_estimate_spectrum_fixture(rational_symbol):
     re, im = s.points.real, s.points.imag
     assert re.min() >= 0.25 - 1e-6 and re.max() <= 2.25 + 1e-6
     assert np.abs(im).max() < 1e-8
-    # the disk's center is the midpoint of the points' extremes
+    # the disk's center is the midpoint of the points' real extremes, and
+    # exactly real for this Hermitian symbol
+    assert s.centroid == complex(0.5 * (re.min() + re.max()))
+    assert s.centroid.imag == 0
+
+
+def test_estimate_spectrum_non_hermitian_center():
+    # a(theta) = 1.5 + 0.5i + 0.8 t + 0.5 / t: the center is the midpoint of
+    # the bounding box of its points, off the real axis
+    s = tp.estimate_spectrum(tp.scalar_symbol({0: 1.5 + 0.5j, 1: 0.8, -1: 0.5}))
+    re, im = s.points.real, s.points.imag
     assert s.centroid == complex(0.5 * (re.min() + re.max()), 0.5 * (im.min() + im.max()))
+    assert s.centroid.imag == pytest.approx(0.5)
 
 
 @st.composite
@@ -73,9 +85,12 @@ _JORDAN = tp.LaurentMatrixSeries(2, {0: np.array([[0.0, 5.0], [0.0, 0.0]]),
 @given(_enclosure_cases())
 @example((_JORDAN, 16))  # far from normal
 @example((tp.scalar_symbol({1: 1.0, -1: 0.1}), 16))  # pseudospectra of a non-normal section
+@example((tp.scalar_symbol({0: 1.0, 1: 0.5 + 0.2j, -1: 0.5 - 0.2j}), 16))  # Hermitian
 def test_estimate_spectrum_encloses_section_spectra(case):
     a, n = case
     s = tp.estimate_spectrum(a)
+    if _is_hermitian(a):
+        assert s.centroid.imag == 0
     # a computed eigenvalue is exact for a section perturbed by a few eps of
     # its norm, whose numerical range lies that much outside the disk
     slack = 1e-12 * (s.max_radius + abs(s.centroid))
@@ -257,24 +272,30 @@ def test_trace_constant_own_grid_above_cap(fixture_contour):
     assert tp.trace_constant(a, tp.SQUARE, contour) == pytest.approx(-0.5, abs=1e-9)
 
 
-def _node_hats(a, contour, powers, grid=None):
+def _node_hats(a, contour, powers, grid=None, nodes=None, eig=False):
     """Reference resolvent bins: the FFT bins at offsets -1..-(2W-1) of
     (a - lambda)^-1 and, when ``powers`` is 2, of (a - lambda)^-2, at
-    every contour node, each node evaluated on its own, the symbol-range
-    guard an exact SVD per node.  The grid doubles from
-    max(a.grid_size, default_grid_size(2 W)) until the used bins of every
-    power move by at most 1e-13 of their largest from the half grid, or
-    those bins + M/2 are round-off; a given ``grid`` is used alone, with
-    no gap test and no guard."""
+    every contour node (or at ``nodes``), each node evaluated on its own,
+    the symbol-range guard an exact SVD per node.  The inverse is LU, or
+    with ``eig`` the sum of eigenprojectors over lambda_k - lambda from one
+    eigh per grid, as trace_constant takes it for Hermitian blocks.  The
+    grid doubles from max(a.grid_size, default_grid_size(2 W)) until the
+    used bins of every power move by at most 1e-13 of their largest from
+    the half grid, or those bins + M/2 are round-off; a given ``grid`` is
+    used alone, with no gap test and no guard."""
     n = a.block_size
     band = max((k for k in a.coeffs if k > 0), default=0)
     used = slice(-(2 * band - 1), None)
+    nodes = contour.nodes if nodes is None else nodes
 
     def grid_hats(m_grid, guard=True):
         samples = a.sample(m_grid).samples
+        if eig:
+            evals, vecs = np.linalg.eigh(samples)
+            projs = [vecs[:, :, j, None] * vecs[:, None, :, j].conj() for j in range(n)]
         folded = slice(m_grid // 2 - (2 * band - 1), m_grid // 2)
         hats, peaks = [], np.zeros((powers, 3))
-        for lam in contour.nodes:
+        for lam in nodes:
             shifted = samples - lam * np.eye(n)
             if guard:
                 dist = (np.min(np.abs(shifted[:, 0, 0])) if n == 1 else
@@ -282,7 +303,11 @@ def _node_hats(a, contour, powers, grid=None):
                 if dist <= 1e-10:
                     raise tp.SpectrumTooClose(
                         f"symbol range within {dist:.3e} of node lambda={lam:.6g}")
-            inv = 1.0 / shifted if n == 1 else np.linalg.inv(shifted)
+            if eig:
+                gaps = evals - lam
+                inv = sum(proj / gaps[..., j, None, None] for j, proj in enumerate(projs))
+            else:
+                inv = 1.0 / shifted if n == 1 else np.linalg.inv(shifted)
             inv2 = inv * inv if n == 1 else inv @ inv
             pair = []
             for power, values in enumerate((inv, inv2)[:powers]):
@@ -318,53 +343,80 @@ def _corners(a, hats):
     return np.eye(band * n), [[ha @ assemble(h, idx, 0) for h in pair] for pair in hats]
 
 
-def _node_traces(a, contour, grid=None):
-    """Reference: tr(M^-1 M') at every contour node from the bins of
-    (a - lambda)^-1 and (a - lambda)^-2 (_node_hats), the dense-corner
-    route, one solve per node."""
-    eye, corners = _corners(a, _node_hats(a, contour, 2, grid))
-    return [np.trace(np.linalg.solve(eye - m1, -m2)) for m1, m2 in corners]
+def _node_traces(a, contour, grid=None, nodes=None, eig=False):
+    """Reference: tr(M^-1 M') at every contour node (or at ``nodes``) from
+    the bins of (a - lambda)^-1 and (a - lambda)^-2 (_node_hats), the
+    dense-corner route, one solve per node."""
+    eye, corners = _corners(a, _node_hats(a, contour, 2, grid, nodes, eig))
+    return np.array([np.trace(np.linalg.solve(eye - m1, -m2)) for m1, m2 in corners])
 
 
 def _per_node_trace_constant(a, f, contour, traces=None):
-    """Reference: the contour sum over _node_traces, in node order."""
+    """Reference: the trapezoid sum over _node_traces on the circle,
+    sum_j f(l_j) t_j (l_j - center) / K."""
     if traces is None:
         traces = _node_traces(a, contour)
-    total = 0.0 + 0.0j
-    for weight, fv, tr in zip(contour.weights, f(contour.nodes), traces):
-        total += weight * fv * tr
-    return complex(total / (2j * np.pi))
+    nodes = contour.nodes
+    return complex(np.sum(f(nodes) * traces * (nodes - contour.center)) / len(nodes))
 
 
-def _node_log_dets(a, contour, grid=None):
-    """Reference: slogdet(M) at every contour node from the bins of
-    (a - lambda)^-1 alone (_node_hats), the block route's grid rule."""
-    eye, corners = _corners(a, _node_hats(a, contour, 1, grid))
-    return [np.linalg.slogdet(eye - m1) for (m1,) in corners]
+def _node_log_dets(a, contour, grid=None, nodes=None, eig=False):
+    """Reference: slogdet(M) at every contour node (or at ``nodes``) from
+    the bins of (a - lambda)^-1 alone (_node_hats), the block route's grid
+    rule; the signs and the log magnitudes."""
+    eye, corners = _corners(a, _node_hats(a, contour, 1, grid, nodes, eig))
+    signs, logabs = zip(*(np.linalg.slogdet(eye - m1) for (m1,) in corners))
+    return np.array(signs), np.array(logabs)
 
 
-def _per_node_log_det_constant(a, f, contour, grid=None):
-    """Reference: (1/2 pi i) oint f dL over _node_log_dets, L's phase
-    unwrapped along the nodes, dL/dphi by one FFT with the Nyquist bin 0."""
-    log_dets = _node_log_dets(a, contour, grid)
-    k = len(log_dets)
-    signs = np.array([sign for sign, _ in log_dets])
+def _log_det_constant(f, contour, signs, logabs):
+    """(1/2 pi i) oint f dL from L's signs and log magnitudes at every node,
+    L's phase unwrapped along the nodes, dL/dphi by one FFT with the
+    Nyquist bin 0."""
+    k = len(signs)
     phase = np.unwrap(np.angle(np.append(signs, signs[0])))
     assert abs(phase[-1] - phase[0]) < 1e-9
     freqs = np.fft.fftfreq(k, 1.0 / k)
     if k % 2 == 0:
         freqs[k // 2] = 0.0
-    log_det = np.array([value for _, value in log_dets]) + 1j * phase[:-1]
-    dl = np.fft.ifft(1j * freqs * np.fft.fft(log_det))
+    dl = np.fft.ifft(1j * freqs * np.fft.fft(logabs + 1j * phase[:-1]))
     return complex(np.sum(f(contour.nodes) * dl) / (1j * k))
 
 
+def _per_node_log_det_constant(a, f, contour, grid=None):
+    """Reference: _log_det_constant over _node_log_dets at every node."""
+    return _log_det_constant(f, contour, *_node_log_dets(a, contour, grid))
+
+
 def _reference_constant(a, f, contour, grid=None):
-    """The same-rule per-node reference of trace_constant's route for a:
-    slogdet + FFT for block symbols, the dense-corner solve for scalars."""
+    """The full-node reference of trace_constant's route for a, every node
+    evaluated with an LU inverse: slogdet + FFT for block symbols, the
+    dense-corner solve for scalars."""
     if a.block_size == 1:
         return _per_node_trace_constant(a, f, contour, _node_traces(a, contour, grid))
     return _per_node_log_det_constant(a, f, contour, grid)
+
+
+def _route_constant(a, f, contour):
+    """trace_constant's route, node by node, for bit-for-bit comparison:
+    for a Hermitian symbol on a circle about a real center with even K,
+    nodes 0..K/2 evaluated and node K - j given the conjugate value of
+    node j; Hermitian blocks with the eigh resolvent."""
+    k = len(contour.nodes)
+    hermitian = _is_hermitian(a)
+    nodes = contour.nodes
+    if hermitian and k % 2 == 0 and complex(contour.center).imag == 0:
+        nodes = nodes[:k // 2 + 1]
+
+    def fill(values):  # node K - j takes the conjugate value of node j
+        return np.concatenate([values, values[-2:0:-1].conj()]) if len(nodes) < k else values
+
+    eig = hermitian and a.block_size > 1
+    if a.block_size == 1:
+        traces = fill(_node_traces(a, contour, nodes=nodes, eig=eig))
+        return _per_node_trace_constant(a, f, contour, traces)
+    signs, logabs = _node_log_dets(a, contour, nodes=nodes, eig=eig)
+    return _log_det_constant(f, contour, fill(signs), fill(logabs))
 
 
 def _lacunary_block(gamma, levels, seed):
@@ -407,28 +459,36 @@ def test_batched_trace_constant_matches_per_node(name, two_block_symbol, rationa
          "one_node_left": two_block_symbol}[name]
     contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
     if name == "one_node_left":
-        # the last chunk of the start grid, which this symbol accepts, holds one node
+        # the last chunk of the start grid, which this symbol accepts, holds
+        # one node: the route evaluates nodes 0..K/2 of this Hermitian symbol
         band = max(a.coeffs)
         m_grid = max(a.grid_size, default_grid_size(2 * band))
         per_chunk = _BATCH_SAMPLES // (m_grid * a.block_size**2)
-        contour = _circle(contour.center, contour.radius, per_chunk + 1)
+        contour = _circle(contour.center, contour.radius, 2 * per_chunk)
     for f in (tp.SQUARE, tp.exponential()):
-        assert tp.trace_constant(a, f, contour) == _reference_constant(a, f, contour)
+        ef = tp.trace_constant(a, f, contour)
+        assert ef == _route_constant(a, f, contour)
+        assert abs(ef - _reference_constant(a, f, contour)) <= 1e-12 * max(1.0, abs(ef))
 
 
-def test_trace_constant_guard_fallback_matches_per_node(two_block_symbol):
-    # scaled by 3e-10, the symbol's smallest singular value on the contour
-    # is above 1e-10 but below twice that times sqrt(2): the Frobenius
-    # bound does not certify it and the exact SVD decides
+def test_trace_constant_guard_fallback_matches_per_node():
+    # a(theta) = 1.25 - r cos(theta), not Hermitian, takes the LU inverse.
+    # Scaled by 3e-10, its smallest singular value on the contour is above
+    # 1e-10 but below twice that times sqrt(2): the Frobenius bound does
+    # not certify it and the exact SVD decides
     from toepasym.symbol import _guarded_inverse
-    a = tp.LaurentMatrixSeries(2, {k: 3e-10 * blk for k, blk in two_block_symbol.coeffs.items()})
-    spectrum = tp.estimate_spectrum(two_block_symbol)
+    r = np.array([[1.0, 0.2], [0.0, 1.0]])
+    base = tp.LaurentMatrixSeries(2, {0: 1.25 * np.eye(2), 1: -0.5 * r, -1: -0.5 * r})
+    a = tp.LaurentMatrixSeries(2, {k: 3e-10 * blk for k, blk in base.coeffs.items()})
+    assert not _is_hermitian(a)
+    spectrum = tp.estimate_spectrum(base)
     contour = _circle(3e-10 * spectrum.centroid, 3e-10 * (spectrum.max_radius + 0.5), 64)
     shifted = a.sample().samples - contour.nodes[0] * np.eye(2)  # the grid it accepts
     inv, margins = _guarded_inverse(shifted)
     assert margins is not None and margins.min() > 1e-10
-    assert tp.trace_constant(a, tp.SQUARE, contour) == _reference_constant(
-        a, tp.SQUARE, contour)
+    ef = tp.trace_constant(a, tp.SQUARE, contour)
+    assert ef == _route_constant(a, tp.SQUARE, contour)
+    assert ef == _reference_constant(a, tp.SQUARE, contour)
 
 
 @pytest.mark.parametrize("name", ["two_block", "lacunary", "hermitian3", "scalar", "zygmund"])
@@ -443,12 +503,19 @@ def test_trace_constant_matches_fine_grid(name, two_block_symbol, rational_symbo
         assert abs(ef - reference) <= 1e-13 * max(1.0, abs(ef))
 
 
+def _ulp_off(a):
+    """a with the first entry of its offset-1 block moved by one ulp, so
+    that it is no longer exactly Hermitian."""
+    coeffs = {k: np.array(blk, dtype=complex) for k, blk in a.coeffs.items()}
+    coeffs[1][0, 0] = np.nextafter(coeffs[1][0, 0].real, np.inf) + 1j * coeffs[1][0, 0].imag
+    return tp.LaurentMatrixSeries(a.block_size, coeffs)
+
+
 def test_trace_constant_builds_corners_once(monkeypatch, rational_symbol):
     # the block symbol rejects its start grid 256 and accepts 512; it takes
-    # one slogdet per node, the scalar one solve per node
+    # one slogdet per node, the scalar one solve per node, on nodes 0..32
+    # of 64 for exactly Hermitian symbols and on every node otherwise
     import toepasym.traces
-    a = _lacunary_block(0.75, 4, 3)
-    contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
     grids, counts = [], dict.fromkeys(("hankel_section", "slogdet", "solve"), 0)
     sample, hankel = tp.LaurentMatrixSeries.sample, tp.hankel_section
     slogdet, solve = np.linalg.slogdet, np.linalg.solve
@@ -467,23 +534,24 @@ def test_trace_constant_builds_corners_once(monkeypatch, rational_symbol):
     monkeypatch.setattr(toepasym.traces, "hankel_section", counting("hankel_section", hankel))
     monkeypatch.setattr(np.linalg, "slogdet", counting("slogdet", slogdet))
     monkeypatch.setattr(np.linalg, "solve", counting("solve", solve))
-    tp.trace_constant(a, tp.SQUARE, contour)
-    assert grids == [256, 512]
-    assert counts == {"hankel_section": 1, "slogdet": 64, "solve": 0}
-    scalar_contour = tp.build_contour(tp.estimate_spectrum(rational_symbol), 0.5, nodes=64)
-    grids.clear()
-    counts.update(dict.fromkeys(counts, 0))
-    tp.trace_constant(rational_symbol, tp.SQUARE, scalar_contour)
-    assert grids == [256]
-    assert counts == {"hankel_section": 1, "slogdet": 0, "solve": 64}
+    block = _lacunary_block(0.75, 4, 3)
+    cases = [(block, [256, 512], "slogdet", 33), (_ulp_off(block), [256, 512], "slogdet", 64),
+             (rational_symbol, [256], "solve", 33), (_ulp_off(rational_symbol), [256], "solve", 64)]
+    for a, grid_list, route, corners in cases:
+        contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
+        grids.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        tp.trace_constant(a, tp.SQUARE, contour)
+        assert grids == grid_list
+        assert counts == {"hankel_section": 1, "slogdet": 0, "solve": 0, route: corners}
 
 
 def test_trace_constant_raises_at_grid_cap(rational_symbol):
-    # 1e-7 above the top 2.25 of the symbol's range, the resolvent's
-    # coefficients decay like (1 - sqrt(2e-7))^k: 2^15 points leave a gap ~1e-3
-    contour = tp.ContourSpec(nodes=np.array([2.25 + 1e-7, 3.0 + 0j]),
-                             weights=np.array([1.0 + 0j, 1.0 + 0j]),
-                             clearance=0.0, center=0j, radius=1.0)
+    # at the node 1e-7 above the top 2.25 of the symbol's range, the
+    # resolvent's coefficients decay like (1 - sqrt(2e-7))^k: 2^15 points
+    # leave a gap ~1e-3
+    contour = _circle(3.0, 0.75 - 1e-7, 2)
+    assert abs(contour.nodes[1] - (2.25 + 1e-7)) < 1e-15
     tracemalloc.start()
     try:
         with pytest.raises(tp.NoConvergence) as info:
@@ -508,14 +576,17 @@ def test_trace_constant_one_sided_symbol(geometric_symbol):
 
 
 def test_trace_constant_node_near_range_raises():
-    # a(0) = diag(1.1, 2.1); the second node sits 1e-11 from 1.1
-    a = tp.LaurentMatrixSeries(2, {0: np.diag([1.0, 2.0]), 1: 0.1 * np.eye(2)})
-    contour = tp.ContourSpec(nodes=np.array([3.0 + 0j, 1.1 + 1e-11]),
-                             weights=np.array([1.0 + 0j, 1.0 + 0j]),
-                             clearance=0.0, center=0j, radius=1.0)
-    with pytest.raises(tp.SpectrumTooClose) as info:
-        tp.trace_constant(a, tp.SQUARE, contour)
-    assert str(info.value) == "symbol range within 1.000e-11 of node lambda=1.1+0j"
+    # a(0) = diag(1.1, 2.1) for both symbols; node 32 of the circle sits
+    # 1e-11 from 1.1.  The Hermitian one takes the eigh resolvent on nodes
+    # 0..32, the other the LU inverse with the SVD guard on every node.
+    contour = _circle(3.0, 1.9 - 1e-11, 64)
+    step = 0.1 * np.eye(2)
+    for hermitian, coeffs in ((False, {1: step}), (True, {1: 0.5 * step, -1: 0.5 * step})):
+        a = tp.LaurentMatrixSeries(2, {0: np.diag([1.0, 2.0]), **coeffs})
+        assert _is_hermitian(a) == hermitian
+        with pytest.raises(tp.SpectrumTooClose,
+                           match=r"^symbol range within 1\.000e-11 of node lambda=1\.1"):
+            tp.trace_constant(a, tp.SQUARE, contour)
 
 
 def test_trace_constant_raises_when_log_det_winds():
@@ -529,28 +600,39 @@ def test_trace_constant_raises_when_log_det_winds():
 
 
 @pytest.mark.parametrize("order", ["shuffled", "reversed"])
-def test_block_route_rejects_reordered_nodes(order, two_block_symbol, rational_symbol):
-    # the FFT along the nodes reads them as build_contour's counter-clockwise
-    # turn: without the check, the shuffled nodes gave -2.0858-1.0059j and
-    # the reversed ones +1.02 for the exact -1.02
-    contour = tp.build_contour(tp.estimate_spectrum(two_block_symbol), 0.5, nodes=64)
+def test_trace_constant_rejects_reordered_nodes(order, two_block_symbol, rational_symbol):
+    # both routes read the nodes as build_contour's counter-clockwise turn:
+    # without the check, the block route gave -2.0858-1.0059j on the
+    # shuffled nodes and +1.02 on the reversed ones for the exact -1.02
     perm = (np.random.default_rng(0).permutation(64) if order == "shuffled"
             else np.arange(64)[::-1])
-    moved = tp.ContourSpec(nodes=contour.nodes[perm], weights=contour.weights[perm],
-                           clearance=contour.clearance, center=contour.center,
-                           radius=contour.radius)
-    assert tp.trace_constant(two_block_symbol, tp.SQUARE, contour) == pytest.approx(-1.02)
-    with pytest.raises(ValueError, match="block symbols need the contour nodes"):
-        tp.trace_constant(two_block_symbol, tp.SQUARE, moved)
-    # the scalar route sums against the weights, in any order
-    assert tp.trace_constant(rational_symbol, tp.SQUARE, moved) == pytest.approx(-0.5)
+    for a, exact in ((two_block_symbol, -1.02), (rational_symbol, -0.5)):
+        contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
+        moved = tp.ContourSpec(nodes=contour.nodes[perm], weights=contour.weights[perm],
+                               clearance=contour.clearance, center=contour.center,
+                               radius=contour.radius)
+        assert tp.trace_constant(a, tp.SQUARE, contour) == pytest.approx(exact)
+        with pytest.raises(ValueError, match="the contour nodes must be"):
+            tp.trace_constant(a, tp.SQUARE, moved)
+
+
+def test_trace_constant_does_not_read_the_weights(two_block_symbol, rational_symbol):
+    # both routes weigh the nodes by (l_j - center) / K; the scalar route
+    # once summed against contour.weights and gave 1.2e-10j for the exact
+    # -0.5 with unit weights
+    for a in (two_block_symbol, rational_symbol):
+        contour = tp.build_contour(tp.estimate_spectrum(a), 0.5, nodes=64)
+        unit = tp.ContourSpec(nodes=contour.nodes, weights=np.ones(64),
+                              clearance=contour.clearance, center=contour.center,
+                              radius=contour.radius)
+        assert tp.trace_constant(a, tp.SQUARE, unit) == tp.trace_constant(a, tp.SQUARE, contour)
 
 
 @st.composite
-def _hermitian_blocks(draw):
-    """A random Hermitian 2x2 or 3x3 symbol with offsets up to 3, its
-    smallest eigenvalue at least 1 on the circle."""
-    n = draw(st.sampled_from([2, 3]))
+def _hermitian_blocks(draw, sizes=(2, 3)):
+    """A random Hermitian symbol of one of the block ``sizes`` with offsets
+    up to 3, its smallest eigenvalue at least 1 on the circle."""
+    n = draw(st.sampled_from(sizes))
     parts = st.floats(-1.0, 1.0, allow_nan=False)
 
     def block():
@@ -579,6 +661,28 @@ def test_block_route_matches_the_dense_corner(a):
         ef = tp.trace_constant(a, f, contour)
         reference = _per_node_trace_constant(a, f, contour, traces)
         assert abs(ef - reference) <= 1e-11 * max(1.0, abs(ef))
+
+
+@settings(max_examples=30)
+@given(_hermitian_blocks((1, 2)))
+@example(tp.scalar_symbol({0: 1.0, 1: 4.5e-118j, -1: -4.5e-118j}))  # a disk of radius 9e-118
+def test_log_trace_functionals_are_the_determinant_constants(a):
+    # f = log ties the trace half to the determinant half: E_log = log E(a)
+    # and G_log = log G(a), from routes that share no code with the
+    # contour's node values.  The contour runs at the geometric mean of the
+    # disk's radius R and its distance c to the branch point 0, where the
+    # trapezoid rule errs by about (R / c)^(K/2) from both sides, and at
+    # least c / 2 from the center, so that rounding cannot put a node on
+    # the range of a nearly constant symbol.
+    assume(max(a.coeffs) > 0)  # zero blocks are not stored
+    spectrum = tp.estimate_spectrum(a)
+    center, radius = spectrum.centroid.real, spectrum.max_radius
+    assert spectrum.centroid.imag == 0 and center > radius  # the disk misses 0
+    reach = max(math.sqrt(radius * center), 0.5 * center)
+    contour = tp.build_contour(spectrum, reach - radius, nodes=256)
+    log = tp.principal_log()
+    assert abs(tp.trace_constant(a, log, contour) - np.log(tp.szego_constant(a))) <= 1e-12
+    assert abs(tp.trace_mean(a, log) - tp.log_geometric_mean(a)) <= 1e-13
 
 
 @pytest.mark.parametrize("nodes, tol", [(128, 1e-13), (64, 2e-12)])
