@@ -6,6 +6,10 @@ evaluation points, 512 shift values), so all results are reproducible.
 The difference at shift h is sampled from the coefficients times the
 multiplier of Delta_h, by one inverse FFT per batch of at most 2^17
 samples; nothing cancels, so omega(a, pi/2^12) is good to 1e-14 relative.
+The sup is over the full grid and every shift, but a shift is sampled
+only while the sum of its multiplier times coefficient moduli, a bound on
+its difference, can still beat the maximum so far; the skipped shifts
+cannot change the value, which equals that of the full sweep bit for bit.
 """
 from __future__ import annotations
 
@@ -28,24 +32,45 @@ def _shifts(s, sweep):
     return np.linspace(s / sweep, s, sweep)
 
 
-def _sweep_maxima(a, order, hs, grid_size):
-    """max over x of |Delta_h g(x)| for each shift h in hs, where
-    Delta_h g(x) = g(x+h) - g(x) (order 1) or g(x+h) - 2 g(x) + g(x-h)
+def _sweep_max(a, order, hs, divisors, grid_size):
+    """max over shifts h in hs and x on the grid of |Delta_h g(x)| / divisors[h],
+    where Delta_h g(x) = g(x+h) - g(x) (order 1) or g(x+h) - 2 g(x) + g(x-h)
     (order 2), sampled from the coefficients times the multiplier of
-    Delta_h at offset k: 2i sin(kh/2) e^(ikh/2) or -4 sin(kh/2)^2."""
+    Delta_h at offset k: m_k(h) = 2i sin(kh/2) e^(ikh/2) or -4 sin(kh/2)^2.
+
+    B(h) = max over entries of sum_k |m_k(h)| |a_k| bounds |Delta_h g| on the
+    whole circle.  Shifts run in decreasing B(h) / divisors[h] order, in
+    batches of at most _BATCH_SAMPLES samples, and a shift is sampled only
+    while its bound times 1 + tol exceeds the maximum so far.  tol =
+    4 (K + log2 M) eps covers the rounding of the bound's K-term sum, of the
+    multiplier and of the M-point FFT, so no skipped shift could have
+    raised the maximum and the result equals that of the full sweep.
+    """
     _check_grid(grid_size)
     m = max(grid_size, a.grid_size)
     offsets = a.support()
     n = a.block_size
     blocks = np.array([a.coeffs[k] for k in offsets]).reshape(-1, n, n)
-    out = np.empty(len(hs))
+    tol = 4 * (len(offsets) + math.log2(m)) * np.finfo(float).eps
+    sizes = np.abs(blocks).reshape(-1, n * n)
+    bound = np.empty(len(hs))
+    for rows in _row_chunks(len(hs), max(len(offsets), 1)):
+        sin = np.abs(np.sin(0.5 * np.multiply.outer(hs[rows], offsets)))
+        bound[rows] = ((2 * sin if order == 1 else 4 * sin**2) @ sizes).max(axis=1)
+    bound /= divisors
+    ranked = np.argsort(-bound, kind="stable")
+    best = 0.0
     for rows in _row_chunks(len(hs), m * n * n):
-        half = 0.5 * np.multiply.outer(hs[rows], offsets)
+        idx = ranked[rows]
+        idx = idx[bound[idx] * (1 + tol) > best]
+        if not len(idx):
+            break
+        half = 0.5 * np.multiply.outer(hs[idx], offsets)
         sin = np.sin(half)
         mult = 2j * sin * np.exp(1j * half) if order == 1 else -4 * sin**2
         diff = _sample_rows(offsets, mult[:, :, None, None] * blocks, m)
-        out[rows] = np.abs(diff).max(axis=(1, 2, 3))
-    return out
+        best = np.maximum(best, (np.abs(diff).max(axis=(1, 2, 3)) / divisors[idx]).max())
+    return float(best)
 
 
 def modulus_of_smoothness(a, order, s, grid_size=DENSE_GRID, sweep=SHIFT_SWEEP):
@@ -54,32 +79,36 @@ def modulus_of_smoothness(a, order, s, grid_size=DENSE_GRID, sweep=SHIFT_SWEEP):
     Order 1 returns sup |g(x+h) - g(x)|, order 2 returns
     sup |g(x+h) - 2 g(x) + g(x-h)|, both over x on the dense grid and h
     swept through ``sweep`` values in (0, s].  Matrix symbols use the
-    maximum entry norm.
+    maximum entry norm.  Shifts whose coefficient bound cannot exceed the
+    maximum already found are not sampled; the value is that of the full
+    sweep.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if not 0 < s <= np.pi:
         raise ValueError("s must lie in (0, pi]")
-    return float(_sweep_maxima(a, order, _shifts(s, sweep), grid_size).max())
+    hs = _shifts(s, sweep)
+    return _sweep_max(a, order, hs, np.ones(len(hs)), grid_size)
 
 
 def zygmund_seminorm(a, delta, grid_size=DENSE_GRID, sweep=SHIFT_SWEEP):
     """sup over dyadic s = pi 2^-i, i = 0..12, of omega_2(a, s) / s^delta.
 
     The sweeps of neighbouring scales share shifts (2198 of 6656 at
-    sweep 512 are exact repeats); each distinct shift is swept once.
+    sweep 512 are exact repeats); each distinct shift is swept once and
+    divided by the smallest s^delta among the scales that hold it, which
+    gives the per-scale maximum exactly, since division by a positive
+    number is monotone.  As in modulus_of_smoothness, shifts whose bound
+    cannot win are not sampled, and the value is that of the full sweep.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     scales = [np.pi * 2.0 ** (-i) for i in range(13)]
     hs = np.concatenate([_shifts(s, sweep) for s in scales])
     distinct, where = np.unique(hs, return_inverse=True)
-    per_shift = _sweep_maxima(a, 2, distinct, grid_size)[where]
-    per_scale = per_shift.reshape(13, sweep).max(axis=1)
-    best = 0.0
-    for s, omega in zip(scales, per_scale):
-        best = max(best, float(omega) / s**delta)
-    return best
+    divisors = np.full(len(distinct), np.inf)
+    np.minimum.at(divisors, where, np.repeat([s**delta for s in scales], sweep))
+    return _sweep_max(a, 2, distinct, divisors, grid_size)
 
 
 def near_best_approximation(f, n, grid_size=DENSE_GRID):

@@ -10,6 +10,7 @@ table lives in the README); usage errors exit with code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -247,7 +248,9 @@ def _cmd_smoothness(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="toepasym",
         description="Block Toeplitz determinant and trace asymptotics toolkit")

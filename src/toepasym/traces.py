@@ -95,13 +95,19 @@ def estimate_spectrum(a):
 def build_contour(spectrum, margin, nodes=256):
     """Circle of radius spectrum.max_radius + margin about spectrum.centroid,
     with trapezoid quadrature; clearance is the least distance from a
-    spectrum point to the circle."""
+    spectrum point to the circle.  ValueError is raised when the radius is
+    at most 1e-12 (radius + |center|), the tolerance within which
+    trace_constant reads the nodes: the nodes would not stand apart from
+    the center."""
     if not 0 < margin < math.inf:
         raise ValueError("margin must be positive and finite")
     if nodes < 64 or nodes & (nodes - 1):
         raise ValueError("node count must be a power of two >= 64")
     center = spectrum.centroid
     radius = spectrum.max_radius + margin
+    if radius <= 1e-12 * (radius + abs(center)):
+        raise ValueError(f"contour radius {radius:.3e} is within rounding of the "
+                         f"center {center:.3e}")
     phis = 2 * np.pi * np.arange(nodes) / nodes
     contour_nodes = center + radius * np.exp(1j * phis)
     weights = (2 * np.pi / nodes) * 1j * radius * np.exp(1j * phis)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepasym as tp
+import toepasym.approx as approx
 from toepasym.approx import best_error_on_grid
 from toepasym.symbol import _BATCH_SAMPLES
 from conftest import random_block_symbol, random_scalar_symbol
@@ -229,21 +230,95 @@ def test_zygmund_seminorm_is_max_over_scales():
     assert tp.zygmund_seminorm(g, 0.6, 1024, 40) == max(per_scale)
 
 
+def _full_sweep_maxima(a, order, hs, grid_size):
+    """Reference: max over x of |Delta_h g(x)| for every shift h in hs, none
+    skipped, 64 shifts per inverse FFT."""
+    m = max(grid_size, a.grid_size)
+    n = a.block_size
+    offsets = np.array(a.support(), dtype=int)
+    blocks = np.array([a.coeffs[k] for k in a.support()]).reshape(-1, n, n)
+    out = []
+    for start in range(0, len(hs), 64):
+        half = 0.5 * np.multiply.outer(hs[start:start + 64], offsets)
+        sin = np.sin(half)
+        mult = 2j * sin * np.exp(1j * half) if order == 1 else -4 * sin**2
+        carr = np.zeros((len(half), m, n, n), dtype=complex)
+        carr[:, offsets % m] += mult[:, :, None, None] * blocks
+        out.append(np.abs(np.fft.ifft(carr, axis=1, norm="forward")).max(axis=(1, 2, 3)))
+    return np.concatenate(out)
+
+
+def _full_sweep_modulus(a, order, s, grid_size, sweep):
+    return float(_full_sweep_maxima(a, order, np.linspace(s / sweep, s, sweep), grid_size).max())
+
+
+def _full_sweep_seminorm(a, delta, grid_size, sweep):
+    """Reference: the sweep of all 13 x sweep shifts, repeats included, and
+    the maximum over scales of omega_2 / s^delta."""
+    scales = [np.pi * 2.0 ** (-i) for i in range(13)]
+    hs = np.concatenate([np.linspace(s / sweep, s, sweep) for s in scales])
+    per_scale = _full_sweep_maxima(a, 2, hs, grid_size).reshape(13, sweep).max(axis=1)
+    best = 0.0
+    for s, omega in zip(scales, per_scale):
+        best = max(best, float(omega) / s**delta)
+    return best
+
+
 @pytest.mark.parametrize("block_size, sweep", [(1, 512), (2, 64)])
 def test_zygmund_seminorm_matches_full_sweep(block_size, sweep):
-    # the full sweep of all 13 x sweep shifts, repeats included
-    from toepasym.approx import _sweep_maxima
     rng = np.random.default_rng(60 + block_size)
     g = (tp.zygmund_symbol(0.75, 6, seed=4) if block_size == 1
          else random_block_symbol(rng, block_size=2, max_offset=4))
     scales = [np.pi * 2.0 ** (-i) for i in range(13)]
     hs = np.concatenate([np.linspace(s / sweep, s, sweep) for s in scales])
     assert len(np.unique(hs)) < len(hs)
-    per_scale = _sweep_maxima(g, 2, hs, 1024).reshape(13, sweep).max(axis=1)
-    best = 0.0
-    for s, omega in zip(scales, per_scale):
-        best = max(best, float(omega) / s**0.6)
-    assert tp.zygmund_seminorm(g, 0.6, 1024, sweep) == best
+    assert tp.zygmund_seminorm(g, 0.6, 1024, sweep) == _full_sweep_seminorm(g, 0.6, 1024, sweep)
+
+
+_ONE_LEFT = _BATCH_SAMPLES // (1024 * 4) + 1  # 2x2 at grid 1024: last batch, one shift
+
+
+@settings(max_examples=40)
+@given(_symbols(), st.integers(1, 2), st.floats(1e-4, np.pi), st.integers(1, 64),
+       st.floats(0.05, 1.0))
+@example(tp.LaurentMatrixSeries(2, {1: np.eye(2), -3: [[0, 2j], [1, 0]]}, grid_size=256),
+         2, np.pi, _ONE_LEFT, 0.5)
+@example(tp.LaurentMatrixSeries(1, {}, grid_size=256), 1, 1.0, 7, 0.5)
+def test_skipping_sweep_matches_full_sweep(a, order, s, sweep, delta):
+    # shifts are skipped by a bound; the values are the full sweep's, bit for bit
+    assert (tp.modulus_of_smoothness(a, order, s, 1024, sweep)
+            == _full_sweep_modulus(a, order, s, 1024, sweep))
+    assert tp.zygmund_seminorm(a, delta, 1024, sweep) == _full_sweep_seminorm(a, delta, 1024, sweep)
+
+
+def _count_sampled_shifts(monkeypatch):
+    """Patch approx._sample_rows to count the shifts it samples."""
+    counted = []
+    sample_rows = approx._sample_rows
+
+    def counting(offsets, table, m):
+        counted.append(table.shape[0])
+        return sample_rows(offsets, table, m)
+
+    monkeypatch.setattr(approx, "_sample_rows", counting)
+    return counted
+
+
+def test_sweep_skips_shifts_that_cannot_win(monkeypatch):
+    counted = _count_sampled_shifts(monkeypatch)
+    g = tp.zygmund_symbol(0.75, 8, 1)
+    value = tp.modulus_of_smoothness(g, 2, np.pi / 2**12)
+    assert 0 < sum(counted) <= 64  # of 512 shifts
+    assert value == _full_sweep_modulus(g, 2, np.pi / 2**12, 4096, 512)
+
+
+def test_constant_symbol_samples_no_shift(monkeypatch):
+    counted = _count_sampled_shifts(monkeypatch)
+    const = tp.scalar_symbol({0: 3.0})
+    assert tp.modulus_of_smoothness(const, 1, np.pi) == 0.0
+    assert tp.modulus_of_smoothness(tp.LaurentMatrixSeries(2, {}), 2, 1.0) == 0.0
+    assert tp.zygmund_seminorm(const, 0.5) == 0.0
+    assert counted == []
 
 
 def test_zygmund_seminorm_constant():

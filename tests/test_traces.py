@@ -153,6 +153,15 @@ def test_build_contour_validation():
         tp.build_contour(s, 1.0, nodes=48)
 
 
+def test_build_contour_rejects_radius_below_rounding_of_center():
+    # sqrt(R c) - R for a disk of radius R about c = 1: every node would
+    # round to the center, and trace_constant would find the range on a node
+    a = tp.scalar_symbol({0: 1, 1: 4.5e-118j, -1: -4.5e-118j})
+    with pytest.raises(ValueError, match="within rounding of the center"):
+        tp.build_contour(tp.estimate_spectrum(a), 3.6e-67)
+    tp.build_contour(_point(1.0), 2e-12)  # a radius above the tolerance stands
+
+
 def test_disk_checks():
     log = tp.principal_log()
     log.check_disk(3.0, 2.9)
