@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NoConvergence
 from .factor import _split_log, canonical_wiener_hopf, correction_symbols
 from .fitting import fit_decay
-from .symbol import _log_det, _offset_table, certified_inverse, reverse
+from .symbol import _log_det, _offset_table, certified_inverse
 from .toeplitz import _block_hankel, hankel_section, log_det_scan
 
 
@@ -63,10 +63,10 @@ def szego_constant(a):
         return 1.0 + 0.0j  # H(a) vanishes, the operator product is I
     if band > 4096:
         raise NoConvergence(f"szego_constant: bandwidth {band} exceeds the corner cap 4096")
-    ainv_rev = reverse(certified_inverse(a, tol=1e-14))
-    ha = hankel_section(a, band)
-    hc = hankel_section(ainv_rev, band)
-    return complex(np.linalg.det(np.eye(ha.shape[0]) - ha @ hc))
+    # a^-1 at offsets -1, -2, ..., -(2W-1): block (j, k) of H((a^-1)~) is table[j + k]
+    table = _offset_table(certified_inverse(a, tol=1e-14), 1 - 2 * band, -1)[::-1]
+    corner = hankel_section(a, band) @ _block_hankel(table, band, band)
+    return complex(np.linalg.det(np.eye(corner.shape[0]) - corner))
 
 
 def strong_szego_series(a):

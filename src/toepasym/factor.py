@@ -5,10 +5,12 @@ a = v_plus v_minus, normalized by u_minus(inf) = I and v_minus(inf) = I
 (equivalently f_minus(inf) = I for a^-1 = f_minus f_plus, f_pm = v_pm^-1,
 as the normalization string has it).  The block path uses the finite
 section method: one LU of T_m(a) gives the first block column of
-T_m(a)^-1, which carries the coefficients of u_plus^-1, and, by a
-transposed solve, that of T_m(a^T)^-1, which carries the transposed
-coefficients of v_plus^-1.  Its failure mode (ill-conditioning, large
-residuals) doubles as the detector for nonzero partial indices.
+T_m(a)^-1, which carries u_plus^-1, and, by a transposed solve, that of
+T_m(a^T)^-1, which carries the transpose of v_plus^-1.  One rule serves
+both sides: the minus factor is the minus part of the column times a,
+the plus factor the plus part of the minus factor's inverse times a.
+Its failure mode (ill-conditioning, large residuals) doubles as the
+detector for nonzero partial indices.
 
 The section is banded: with kl subdiagonals and ku superdiagonals (kl
 and ku are about N times the positive and negative bandwidths of a), it
@@ -252,11 +254,10 @@ def _side(series, side):
 
 def _block_wh_once(a, m):
     uplus_inv, vplus_inv = _first_column_solve(a, m)
-    u_plus, leak_up = _side(certified_inverse(uplus_inv, tol=1e-13), "plus")
+    # P_-(column a) reads the first W + 1 blocks (W the negative bandwidth of a),
+    # P_+(minus^-1 a) the minus factor: the far column blocks reach only the leakage
     u_minus, leak_um = _side(multiply(a, uplus_inv), "minus")
-    # v_minus = v_plus^-1 a reads only the first W + 1 blocks of the column
-    # (W the bandwidth of a), and v_plus = a v_minus^-1 only v_minus, so the
-    # finite-section error in the far blocks never reaches the left factors
+    u_plus, leak_up = _side(multiply(certified_inverse(u_minus, tol=1e-13), a), "plus")
     v_minus, leak_vm = _side(multiply(vplus_inv, a), "minus")
     v_plus, leak_vp = _side(multiply(a, certified_inverse(v_minus, tol=1e-13)), "plus")
     diag = FactorDiagnostics(
@@ -270,18 +271,16 @@ def _block_wh_once(a, m):
 def block_wiener_hopf(a, section=256, tol=DEFAULT_TOL):
     """Finite-section canonical factorization of a matrix symbol.
 
-    One band LU of T_m(a) gives both factorizations: the solve
-    T_m(a) X = E_0 yields u_plus^-1, and the transposed solve on the same
-    LU yields v_plus^-1 (see _first_column_solve).  Then
-    u_plus = (u_plus^-1)^-1, u_minus = a u_plus^-1, v_minus = v_plus^-1 a
-    and v_plus = a v_minus^-1.  With kl and ku the sub- and
-    superdiagonals of the section (_band_section), a pass costs
-    O(m N kl (kl + ku)) time and (2 kl + ku + 1)(m + 1) N band entries.
-    If the product residuals or the one-sided leakage exceed ``tol``, the
-    section is doubled once; persistent failure raises NonCanonical (the
-    symptom of nonzero partial indices).  A section whose condition
-    estimate exceeds 1e10 raises IllConditionedSection, and a section
-    below 1 raises ValueError.
+    One band LU of T_m(a) yields u_plus^-1 and, by a transposed solve,
+    v_plus^-1 (_first_column_solve).  Then, each product cut to its side,
+    u_minus = a u_plus^-1, u_plus = u_minus^-1 a, v_minus = v_plus^-1 a and
+    v_plus = a v_minus^-1.  With kl and ku the sub- and superdiagonals of
+    the section (_band_section), a pass costs O(m N kl (kl + ku)) time and
+    (2 kl + ku + 1)(m + 1) N band entries.  If the product residuals or the
+    one-sided leakage exceed ``tol``, the section is doubled once;
+    persistent failure raises NonCanonical (the symptom of nonzero partial
+    indices).  A section whose condition estimate exceeds 1e10 raises
+    IllConditionedSection, and a section below 1 raises ValueError.
     """
     _check_section(section)
     last = None
@@ -311,7 +310,7 @@ def canonical_wiener_hopf(a, section=256):
 # derived symbols and sweeps
 
 def correction_symbols(w):
-    """The pair b = v_minus u_plus^-1 and c = u_minus^-1 v_plus.
+    """The pair b = v_minus u_plus^-1 and c = u_minus^-1 v_plus; b c = I.
 
     These are the symbols whose Toeplitz and Hankel tails build the
     correction terms of the determinant expansion.

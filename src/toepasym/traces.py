@@ -61,6 +61,15 @@ class ContourSpec:
     radius: float
 
 
+def _pointwise_eigenvalues(a):
+    """The (M, N) eigenvalues of a at the M points of its own grid."""
+    samples = a.sample().samples
+    try:
+        return samples[:, :, 0] if a.block_size == 1 else np.linalg.eigvals(samples)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
+
+
 def estimate_spectrum(a):
     """Disk that holds the numerical ranges, so the spectra, of every T_n(a),
     of T(a) and of T(a~): that of each a(theta) lies within ||a(theta) - c I||_2
@@ -74,16 +83,15 @@ def estimate_spectrum(a):
     of real trigonometric polynomials of degree K).
     """
     n, k = a.block_size, a.max_offset
+    points = _pointwise_eigenvalues(a).ravel()
+    if not np.all(np.isfinite(points)):
+        raise EigFailure("non-finite eigenvalue in the spectrum estimate")
+    # a Hermitian symbol's points are real: its center is exactly real
+    imag = 0.0 if _is_hermitian(a) else 0.5 * (points.imag.min() + points.imag.max())
+    centroid = complex(0.5 * (points.real.min() + points.real.max()), imag)
+    m = max(a.grid_size, _pow2_at_least(32 * k))
+    shifted = a.sample(m).samples - centroid * np.eye(n)
     try:
-        samples = a.sample().samples
-        points = samples[:, 0, 0] if n == 1 else np.linalg.eigvals(samples).ravel()
-        if not np.all(np.isfinite(points)):
-            raise EigFailure("non-finite eigenvalue in the spectrum estimate")
-        # a Hermitian symbol's points are real: its center is exactly real
-        imag = 0.0 if _is_hermitian(a) else 0.5 * (points.imag.min() + points.imag.max())
-        centroid = complex(0.5 * (points.real.min() + points.real.max()), imag)
-        m = max(a.grid_size, _pow2_at_least(32 * k))
-        shifted = a.sample(m).samples - centroid * np.eye(n)
         norms = (np.abs(shifted[:, 0, 0]) if n == 1
                  else np.linalg.norm(shifted, 2, axis=(1, 2)))
     except np.linalg.LinAlgError as exc:
@@ -126,14 +134,7 @@ def trace_mean(a, f):
     eigenvalues counted with multiplicity, so no eigenvector conditioning
     enters.
     """
-    samples = a.sample().samples
-    if a.block_size == 1:
-        evals = samples[:, :, 0]
-    else:
-        try:
-            evals = np.linalg.eigvals(samples)
-        except np.linalg.LinAlgError as exc:
-            raise EigFailure(str(exc)) from exc
+    evals = _pointwise_eigenvalues(a)
     if hasattr(f, "check"):
         f.check(evals, where="pointwise symbol eigenvalues")
     return complex(np.mean(np.sum(f(evals), axis=1)))

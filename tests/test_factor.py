@@ -295,6 +295,60 @@ def test_correction_symbols_keep_their_supports(name, b_support, c_support,
     assert c.support() == list(range(c_support[0], c_support[1] + 1))
 
 
+def _wiener(series):
+    """Wiener norm sum_k ||x_k||_2, which is submultiplicative."""
+    return sum(np.linalg.norm(blk, 2) for blk in series.coeffs.values())
+
+
+def _identity_miss(b, c):
+    """max |b c - I| over the blocks of the product."""
+    bc, eye = tp.multiply(b, c), np.eye(b.block_size)
+    return max(float(np.max(np.abs(bc.block(k) - (eye if k == 0 else 0.0))))
+               for k in set(bc.support()) | {0})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lacunary_right_factors_free_of_the_section_error(seed):
+    """The plus factor comes from the minus factor, not from the far blocks
+    of the section column, so it is exact at section 256 although the
+    column still carries finite-section error of about 1e-9 there."""
+    from test_traces import _lacunary_block
+    a = _lacunary_block(0.75, 6, seed)
+    w = tp.block_wiener_hopf(a, section=256)
+    assert w.residuals.product_residual_right <= 1e-13
+    assert _sup_diff(w.u_plus, tp.block_wiener_hopf(a, section=1024).u_plus) <= 1e-12
+    assert _identity_miss(*tp.correction_symbols(w)) <= 1e-12
+
+
+@given(_canonical_block_symbols())
+def test_correction_symbols_multiply_to_identity(a):
+    """b c = v_minus a^-1 v_plus = I, to first order in the pipeline's errors.
+
+    With the minus factors as computed, u_plus = P_+(u_minus^-1 a) and
+    v_plus = P_+(a v_minus^-1) give exact b and c with b c = I, so
+    |b c - I| <= |db| |c| + |b| |dc| in the Wiener norm, where db and dc
+    collect the step errors: an inverse's discarded mass (1e-13), a trim
+    (1e-14) and the cut leakage, each a max-entry mass and so at most N
+    times that in the norm.  Since b = v_minus inv(u_plus) and u_plus
+    carries u_minus^-1's error times a,
+    |db| <= e_i |v_minus| + |b| (e_i |a| + e_l + e_t) |u_plus^-1| + e_t, and
+    as c = inv(u_minus) v_plus with v_plus carrying v_minus^-1's error times a,
+    |dc| <= e_i |v_plus| + |u_minus^-1| (e_i |a| + e_l + e_t) + e_t.
+    The FFT rounding of the products, about eps log2(m) times the norms,
+    and the second-order term |db| |dc| are far below these.
+    """
+    w = tp.block_wiener_hopf(a, section=64)
+    b, c = tp.correction_symbols(w)
+    n = a.block_size
+    e_i, e_t, e_l = n * 1e-13, n * 1e-14, n * w.residuals.leakage
+    step = e_i * _wiener(a) + e_l + e_t
+    db = (e_i * _wiener(w.v_minus) + e_t
+          + _wiener(b) * step * _wiener(tp.certified_inverse(w.u_plus, tol=1e-13)))
+    dc = (e_i * _wiener(w.v_plus) + e_t
+          + step * _wiener(tp.certified_inverse(w.u_minus, tol=1e-13)))
+    assert _identity_miss(b, c) <= db * _wiener(c) + _wiener(b) * dc
+
+
 def test_sweep_constant_symbol():
     a = tp.constant_symbol(np.array([[1.0, 0.2], [0.0, 2.0]]))
     nodes = 20.0 * np.exp(2j * np.pi * np.arange(64) / 64)
